@@ -309,7 +309,6 @@ class Certificate:
     ratio_constant: float
     ratio_argmin_gamma: float
     alpha0_used: float
-    monogamy_worst_slack: float | None
     audits: tuple[Audit, ...]
 
     def __post_init__(self):
@@ -317,6 +316,11 @@ class Certificate:
             raise ValueError(f"alpha_gw {self.alpha_gw} outside (0, 1)")
         if not (0.0 < self.ratio_constant < 1.0):
             raise ValueError(f"ratio constant {self.ratio_constant} outside (0, 1)")
+
+    @property
+    def monogamy_worst_slack(self) -> float | None:
+        """Margin of the monogamy audit, or None when it was not run."""
+        return next((a.margin for a in self.audits if a.name == "monogamy"), None)
 
     def all_passed(self) -> bool:
         return all(a.passed for a in self.audits)
@@ -341,13 +345,10 @@ def build_certificate(vs: VectorSolution | None = None, g: Graph | None = None,
     agw, agw_t = alpha_gw()
     ratio, ratio_gamma = ratio_constant(alpha0)
     audits: list[Audit] = [minimizer_consistency_audit(alpha0)]
-    monogamy_worst = None
     if vs is not None:
         if g is None:
             raise ValueError("a graph is required to audit a vector solution")
-        mono = monogamy_audit(vs, g)
-        monogamy_worst = mono.margin
-        audits.append(mono)
+        audits.append(monogamy_audit(vs, g))
         audits.append(positive_overlap_audit(vs, g))
         audits.append(cut_probability_audit(vs, g, samples=cut_samples, seed=seed))
         audits.append(per_edge_ratio_audit(vs, g, samples=ratio_samples, alpha0=alpha0,
@@ -358,6 +359,5 @@ def build_certificate(vs: VectorSolution | None = None, g: Graph | None = None,
         ratio_constant=ratio,
         ratio_argmin_gamma=ratio_gamma,
         alpha0_used=alpha0,
-        monogamy_worst_slack=monogamy_worst,
         audits=tuple(audits),
     )

@@ -1,13 +1,14 @@
 """Command-line pipeline: ingest a graph, solve, round, evaluate, certify, bench.
 
-Reports are JSON with a versioned schema; bench emits CSV.  In deterministic
-mode wall-clock timings are zeroed so identical configurations produce
-byte-identical outputs.
+Reports are JSON with a versioned schema; bench emits CSV or typed JSON rows.  In
+deterministic mode wall-clock timings are zeroed so identical configurations
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -129,7 +130,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             psi = simulate(build_circuit(assign, params, g), limit=cfg.sim_limit)
             energies[k] = expectation(psi, g)
         else:
-            energies[k] = total_energy(params, assign, g, mode="exact_where_cut").exact_total
+            energies[k] = total_energy(params, assign, g).exact_total
         if energies[k] > energies[best_idx] or best_assign is None:
             best_idx = k
             best_assign = assign
@@ -168,16 +169,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                              sim_limit=cfg.sim_limit)
     else:
         cert = certify_mod.build_certificate(alpha0=cfg.alpha0)
-        mono = certify_mod.monogamy_audit(vs, g)
-        cert = certify_mod.Certificate(
-            alpha_gw=cert.alpha_gw,
-            alpha_gw_argmin_t=cert.alpha_gw_argmin_t,
-            ratio_constant=cert.ratio_constant,
-            ratio_argmin_gamma=cert.ratio_argmin_gamma,
-            alpha0_used=cert.alpha0_used,
-            monogamy_worst_slack=mono.margin,
-            audits=cert.audits + (mono,),
-        )
+        cert = dataclasses.replace(cert, audits=cert.audits + (certify_mod.monogamy_audit(vs, g),))
     report["certificate"] = cert.to_json_dict()
     timings["certify_s"] = time.perf_counter() - t0
     timings["total_s"] = time.perf_counter() - t_start
@@ -196,28 +188,38 @@ BENCH_COLUMNS = ("instance", "n", "edges", "opt_sdp", "opt",
 
 def bench(entries: list[tuple[str, Graph]], rounds: int = 1000, seed: int = 0,
           alpha0: float = 0.041, solver: SolverConfig | None = None,
-          sim_limit: int = 16, deterministic: bool = False) -> str:
-    """One CSV row per instance; failures become rows and the run continues."""
-    lines = [",".join(BENCH_COLUMNS)]
+          sim_limit: int = 16, deterministic: bool = False) -> list[dict]:
+    """One row per instance, keyed by BENCH_COLUMNS; failures become rows and the run
+    continues.  Values are typed, and None marks a field the run did not produce."""
+    rows = []
     for name, g in entries:
         cfg = RunConfig(graph=g, source=name, rounds=rounds, seed=seed, alpha0=alpha0,
                         solver=solver or SolverConfig(), sim_limit=sim_limit,
                         deterministic=deterministic)
         report = run_pipeline(cfg)
+        row = {**dict.fromkeys(BENCH_COLUMNS), "instance": name, "n": g.n, "edges": g.num_edges}
         if report["status"] != "ok":
-            lines.append(f"{name},{g.n},{g.num_edges},,,,,,,error:{report['stage']}")
+            rows.append({**row, "status": f"error:{report['stage']}"})
             continue
         timings = report["timings"] or {"solve_s": 0.0, "total_s": 0.0}
-        opt = report["opt"]["value"] if report["opt"] else ""
-        mean_ratio = report["ratios"]["mean_vs_sdp"]
-        best_ratio = report["ratios"]["best_vs_sdp"]
-        lines.append(
-            f"{name},{g.n},{g.num_edges},{report['sdp']['objective']!r},"
-            f"{opt if opt == '' else repr(opt)},"
-            f"{'' if mean_ratio is None else repr(mean_ratio)},"
-            f"{'' if best_ratio is None else repr(best_ratio)},"
-            f"{timings['solve_s']!r},{timings['total_s']!r},ok"
-        )
+        rows.append({
+            **row,
+            "opt_sdp": report["sdp"]["objective"],
+            "opt": report["opt"]["value"] if report["opt"] else None,
+            "mean_ratio": report["ratios"]["mean_vs_sdp"],
+            "best_ratio": report["ratios"]["best_vs_sdp"],
+            "solve_s": timings["solve_s"],
+            "total_s": timings["total_s"],
+            "status": "ok",
+        })
+    return rows
+
+
+def bench_csv(rows: list[dict]) -> str:
+    """Bench rows as CSV: a header of BENCH_COLUMNS, empty cells for None."""
+    lines = [",".join(BENCH_COLUMNS)]
+    lines.extend(",".join("" if row[c] is None else str(row[c]) for c in BENCH_COLUMNS)
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -313,7 +315,7 @@ def cmd_energy(args) -> int:
     _, g, _, _, vs = _solved_vectors(args)
     params = EdgeParameters.from_solution(vs, g, args.alpha0)
     assign = sample_assignment(vs, args.seed)
-    report = total_energy(params, assign, g, mode="exact_where_cut")
+    report = total_energy(params, assign, g)
     _emit(report_to_json(report.to_json_dict()), args.out)
     return EXIT_OK
 
@@ -357,13 +359,10 @@ def cmd_bench(args) -> int:
     entries = []
     for spec in (s for s in args.suite.split(";") if s.strip()):
         entries.append((spec.strip(), parse_generator_spec(spec.strip())))
-    text = bench(entries, rounds=args.rounds, seed=args.seed, alpha0=args.alpha0,
+    rows = bench(entries, rounds=args.rounds, seed=args.seed, alpha0=args.alpha0,
                  solver=_solver_config(args), sim_limit=args.sim_limit,
                  deterministic=args.deterministic)
-    if args.format == "json":
-        header, *rows = [line.split(",") for line in text.strip().splitlines()]
-        text = report_to_json([dict(zip(header, row)) for row in rows])
-    _emit(text, args.out)
+    _emit(report_to_json(rows) if args.format == "json" else bench_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true", help="also sweep alpha0")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bench", help="run a suite of instances and emit CSV")
+    p = sub.add_parser("bench", help="run a suite of instances and emit CSV or JSON rows")
     _add_common(p)
     p.add_argument("--suite", required=True,
                    help="';'-separated generator specs, e.g. 'complete:n=2;path:n=3'")

@@ -1,18 +1,21 @@
 """Closed-form energies of the rounded circuit state, per edge and in total.
 
-For a cut edge the expectation <4 H_ij> has an exact expression in the rotation
-angles of the edges incident to i and j; uncut edges are handled by the trivial
-lower bound 0 (each edge term is PSD).  Energies are carried as <4 H_ij> and
-divided by 4 only when weighted totals are formed.
+A cut edge (p, q), oriented so z_p = 0, has an exact <4 H_pq> in the rotation
+angles of the edges incident to p and q: 1 + s(A + B) + (even-subset sum),
+with s = sin(2 theta_pq) and A, B the cosine products over the other
+neighbours of p and of q.  Keeping only the empty subset, AB, gives the lower
+bound 1 + s(A + B) + AB that the 0.562 guarantee rests on.  _cut_edge_terms is
+the one place these products are formed.  Uncut edges take the trivial lower
+bound 0 (each edge term is PSD).  Energies are carried as <4 H_ij> and divided
+by 4 only when weighted totals are formed.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, NeighborIndex
 from .rounding import Assignment, EdgeParameters
 
 
@@ -29,13 +32,12 @@ class EdgeEnergy:
 class EdgeEnergyReport:
     edges: tuple[EdgeEnergy, ...]
     bound_total: float              # sum w * bound / 4
-    exact_total: float | None       # sum w * exact / 4 with 0 on uncut edges
+    exact_total: float              # sum w * exact / 4 with 0 on uncut edges
     uncut_edges: tuple[tuple[int, int], ...]
-    mode: str
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "exact_where_cut",
             "edges": [
                 {
                     "edge": f"{i}-{j}",
@@ -51,9 +53,6 @@ class EdgeEnergyReport:
             "exact_total": self.exact_total,
             "uncut_edges": [f"{i}-{j}" for i, j in self.uncut_edges],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _theta(params: EdgeParameters, i: int, j: int) -> float:
@@ -75,47 +74,58 @@ def _check_nonnegative_thetas(params: EdgeParameters) -> None:
         raise ValueError(f"negative rotation angle {worst}; the bound requires theta >= 0")
 
 
+def _cut_edge_terms(params: EdgeParameters, nbr: NeighborIndex, p: int,
+                    q: int) -> tuple[float, float, float, float]:
+    """(s_pq, A, B, even_subset_sum) of the cut edge (p, q) with z_p = 0.
+
+    With c = cos(2 theta) and s = sin(2 theta):
+      A = prod over k in N(p)\\{q} of c_pk,  B = prod over k in N(q)\\{p} of c_kq,
+      even_subset_sum = (1/2) [prod over common k of (c_pk c_kq + s_pk s_kq)
+                               + prod over common k of (c_pk c_kq - s_pk s_kq)]
+                        * (non-common cosine factors of A and B).
+    The product form sums the even-subset expansion exactly while staying
+    finite when some cos(2 theta) vanishes, and costs O(deg) per edge.
+    """
+    cos_p = {k: math.cos(2.0 * _theta(params, p, k)) for k in nbr.neighbor_ids(p) if k != q}
+    cos_q = {k: math.cos(2.0 * _theta(params, k, q)) for k in nbr.neighbor_ids(q) if k != p}
+    s_pq = math.sin(2.0 * _theta(params, p, q))
+
+    A = math.prod(cos_p.values())
+    B = math.prod(cos_q.values())
+
+    plus, minus = 1.0, 1.0
+    for k in sorted(cos_p.keys() & cos_q.keys()):
+        sp_, sq_ = math.sin(2.0 * _theta(params, p, k)), math.sin(2.0 * _theta(params, k, q))
+        plus *= cos_p[k] * cos_q[k] + sp_ * sq_
+        minus *= cos_p[k] * cos_q[k] - sp_ * sq_
+    rest = math.prod(c for k, c in cos_p.items() if k not in cos_q)
+    rest *= math.prod(c for k, c in cos_q.items() if k not in cos_p)
+    return s_pq, A, B, 0.5 * (plus + minus) * rest
+
+
+def _cut_edge_energies(params: EdgeParameters, nbr: NeighborIndex, p: int,
+                       q: int) -> tuple[float, float]:
+    """(bound, exact) <4 H_pq> of the cut edge (p, q) with z_p = 0."""
+    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, nbr, p, q)
+    return 1.0 + s_pq * (A + B) + A * B, 1.0 + s_pq * A + s_pq * B + even_subset_sum
+
+
 def edge_pauli_terms(params: EdgeParameters, assign: Assignment, g: Graph,
                      edge: tuple[int, int]) -> tuple[float, float, float]:
     """(<X_p X_q>, <Y_p Y_q>, <Z_p Z_q>) on a cut edge, oriented so z_p = 0.
 
-    With c = cos(2 theta) and s = sin(2 theta):
-      <XX> = -s_pq * A,  A = prod over k in N(p)\\{q} of c_pk,
-      <YY> = -s_pq * B,  B = prod over k in N(q)\\{p} of c_kq,
-      <ZZ> = -(1/2) [prod over common k of (c_pk c_kq + s_pk s_kq)
-                     + prod over common k of (c_pk c_kq - s_pk s_kq)]
-             * (non-common cosine factors of A and B).
-    The <ZZ> product form sums the even-subset expansion exactly while staying
-    finite when some cos(2 theta) vanishes, and costs O(deg) per edge.
+    <XX> = -s_pq A, <YY> = -s_pq B and <ZZ> = -even_subset_sum, in the terms
+    of _cut_edge_terms.
     """
     p, q = _orient_cut(assign, edge)
-    nbr = g.neighbor_index()
-    np_ids = [k for k in nbr.neighbor_ids(p) if k != q]
-    nq_ids = [k for k in nbr.neighbor_ids(q) if k != p]
-    common = sorted(set(np_ids) & set(nq_ids))
-    s_pq = math.sin(2.0 * _theta(params, p, q))
-
-    A = math.prod(math.cos(2.0 * _theta(params, p, k)) for k in np_ids)
-    B = math.prod(math.cos(2.0 * _theta(params, k, q)) for k in nq_ids)
-
-    plus, minus = 1.0, 1.0
-    for k in common:
-        cp_, sp_ = math.cos(2.0 * _theta(params, p, k)), math.sin(2.0 * _theta(params, p, k))
-        cq_, sq_ = math.cos(2.0 * _theta(params, k, q)), math.sin(2.0 * _theta(params, k, q))
-        plus *= cp_ * cq_ + sp_ * sq_
-        minus *= cp_ * cq_ - sp_ * sq_
-    rest = math.prod(math.cos(2.0 * _theta(params, p, k)) for k in np_ids if k not in common)
-    rest *= math.prod(math.cos(2.0 * _theta(params, k, q)) for k in nq_ids if k not in common)
-    even_subset_sum = 0.5 * (plus + minus) * rest
-
+    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, g.neighbor_index(), p, q)
     return -s_pq * A, -s_pq * B, -even_subset_sum
 
 
 def edge_energy_exact(params: EdgeParameters, assign: Assignment, g: Graph,
                       edge: tuple[int, int]) -> float:
     """Exact <4 H_ij> on a cut edge (orientation-free)."""
-    xx, yy, zz = edge_pauli_terms(params, assign, g, edge)
-    return 1.0 - xx - yy - zz
+    return _cut_edge_energies(params, g.neighbor_index(), *_orient_cut(assign, edge))[1]
 
 
 def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
@@ -129,43 +139,34 @@ def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
     i, j = edge
     if assign.z[i] == assign.z[j]:
         return 0.0
-    nbr = g.neighbor_index()
-    s_ij = math.sin(2.0 * _theta(params, i, j))
-    A = math.prod(math.cos(2.0 * _theta(params, i, k)) for k in nbr.neighbor_ids(i) if k != j)
-    B = math.prod(math.cos(2.0 * _theta(params, k, j)) for k in nbr.neighbor_ids(j) if k != i)
-    return 1.0 + s_ij * (A + B) + A * B
+    return _cut_edge_energies(params, g.neighbor_index(), *_orient_cut(assign, edge))[0]
 
 
-def total_energy(params: EdgeParameters, assign: Assignment, g: Graph,
-                 mode: str = "bound") -> EdgeEnergyReport:
-    """Weighted energy report; mode 'exact_where_cut' adds closed forms on cut edges.
+def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEnergyReport:
+    """Weighted energy report: bounds on every edge, closed forms on cut edges.
 
-    In exact_where_cut mode uncut edges contribute 0 and are listed, so the
-    exact total is itself a lower bound on the true state energy.
+    Uncut edges contribute 0 to the exact total and are listed, so the exact
+    total is itself a lower bound on the true state energy.
     """
-    if mode not in ("bound", "exact_where_cut"):
-        raise ValueError(f"unknown mode {mode!r}")
     _check_nonnegative_thetas(params)
+    nbr = g.neighbor_index()
     rows = []
     bound_total = 0.0
-    exact_total = 0.0 if mode == "exact_where_cut" else None
+    exact_total = 0.0
     uncut = []
     for i, j, w in g.edges:
         cut = assign.z[i] != assign.z[j]
-        bound = edge_energy_bound(params, assign, g, (i, j))
-        exact = None
-        if cut and mode == "exact_where_cut":
-            exact = edge_energy_exact(params, assign, g, (i, j))
-        if not cut:
+        if cut:
+            bound, exact = _cut_edge_energies(params, nbr, *_orient_cut(assign, (i, j)))
+        else:
+            bound, exact = 0.0, None
             uncut.append((i, j))
         rows.append(EdgeEnergy(edge=(i, j), weight=w, cut=cut, exact=exact, bound=bound))
         bound_total += w * bound / 4.0
-        if exact_total is not None:
-            exact_total += w * (exact if exact is not None else 0.0) / 4.0
+        exact_total += w * (exact if exact is not None else 0.0) / 4.0
     return EdgeEnergyReport(
         edges=tuple(rows),
         bound_total=bound_total,
         exact_total=exact_total,
         uncut_edges=tuple(uncut),
-        mode=mode,
     )

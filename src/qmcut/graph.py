@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +72,12 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
-    def weight_map(self) -> dict[tuple[int, int], float]:
-        return {(i, j): w for i, j, w in self.edges}
-
     def neighbor_index(self) -> "NeighborIndex":
+        """The graph's neighbour lists, built on first use and shared afterwards."""
+        return self._neighbor_index
+
+    @cached_property
+    def _neighbor_index(self) -> "NeighborIndex":
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for i, j, w in self.edges:
             adj[i].append((j, w))
@@ -109,9 +109,6 @@ class NeighborIndex:
 
     def neighbor_ids(self, i: int) -> tuple[int, ...]:
         return tuple(j for j, _ in self.adjacency[i])
-
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
 
 
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
@@ -168,19 +165,22 @@ def _parse_json(text: str) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or "edges" not in data:
-        raise GraphError("JSON graph must be an object with an 'edges' key")
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+        raise GraphError("JSON graph must be an object with an 'edges' list")
     edges = data["edges"]
+    # Exact types, not isinstance: JSON true and false are bools, which Python counts as ints.
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 3 and type(e[0]) is int
+                and type(e[1]) is int and type(e[2]) in (int, float)):
+            raise GraphError(f"edge entries must be [int i, int j, number w], got {e!r}")
     if "n" in data:
         n = data["n"]
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise GraphError("'n' must be an integer")
     else:
         n = 1 + max((max(e[0], e[1]) for e in edges), default=-1)
-    for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 3):
-            raise GraphError(f"edge entries must be [i, j, w], got {e!r}")
-        _check_edge(int(e[0]), int(e[1]), float(e[2]), n)
+    for i, j, w in edges:
+        _check_edge(i, j, float(w), n)
     return Graph.from_edges(n, edges)
 
 

@@ -51,9 +51,6 @@ class EdgeParameters:
         theta = {e: theta_map(gm, alpha0) for e, gm in gamma.items()}
         return cls(gamma=gamma, theta=theta, alpha0=alpha0)
 
-    def theta_cap(self) -> float:
-        return math.acos(math.exp(-self.alpha0)) / 2.0
-
 
 @dataclass(frozen=True)
 class Gate:

@@ -251,8 +251,7 @@ class SolverConfig:
     check_every: int = 25
     adapt_every: int = 100
     polish_iterations: int = 500
-    seed: int = 0
-    random_init: bool = False
+    seed: int = 0                   # unused: the solver starts from the identity
 
     def __post_init__(self):
         for name in ("eps_feas", "eps_psd", "eps_extract", "stop_tol"):
@@ -341,12 +340,7 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
         Z = (Q * w) @ Q.T
         return (Z + Z.T) / 2.0
 
-    if cfg.random_init:
-        rng = np.random.default_rng(cfg.seed)
-        G = rng.standard_normal((d, d))
-        Z = (G @ G.T) / d + np.eye(d)
-    else:
-        Z = np.eye(d)
+    Z = np.eye(d)
     U = np.zeros((d, d))
     rho = cfg.rho
     alpha = cfg.over_relaxation

@@ -143,3 +143,7 @@ def test_bench_json_format(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["instance"] == "complete:n=2"
     assert rows[0]["status"] == "ok"
+    for key in ("n", "edges"):
+        assert type(rows[0][key]) is int
+    for key in ("opt_sdp", "opt", "mean_ratio", "best_ratio", "solve_s", "total_s"):
+        assert type(rows[0][key]) is float

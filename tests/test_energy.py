@@ -159,15 +159,14 @@ def test_totals_zero_angles_give_half_cut_value():
     params = params_for(g, {(i, j): 0.0 for i, j, _ in g.edges})
     z = tuple(int(b) for b in rng.integers(0, 2, 6))
     assign = Assignment(a=1, z=z, r_seed=0)
-    report = total_energy(params, assign, g, mode="bound")
+    report = total_energy(params, assign, g)
     assert report.bound_total == pytest.approx(classical_energy(g, z), abs=1e-12)
 
 
 def test_totals_empty_graph():
     g = Graph(n=3, edges=())
     params = EdgeParameters(gamma={}, theta={}, alpha0=0.041)
-    report = total_energy(params, Assignment(a=1, z=(0, 1, 0), r_seed=0), g,
-                          mode="exact_where_cut")
+    report = total_energy(params, Assignment(a=1, z=(0, 1, 0), r_seed=0), g)
     assert report.bound_total == 0.0
     assert report.exact_total == 0.0
     assert report.uncut_edges == ()
@@ -181,7 +180,7 @@ def test_exact_where_cut_is_lower_bound_on_state_energy():
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
         assign = Assignment(a=1, z=z, r_seed=0)
-        report = total_energy(params, assign, g, mode="exact_where_cut")
+        report = total_energy(params, assign, g)
         psi = simulate(build_circuit(assign, params, g))
         assert report.exact_total <= expectation(psi, g) + 1e-9
         assert report.bound_total <= report.exact_total + 1e-12
@@ -190,6 +189,23 @@ def test_exact_where_cut_is_lower_bound_on_state_energy():
                 assert row.exact >= row.bound - 1e-12
             else:
                 assert row.bound == 0.0
+
+
+def test_total_energy_rows_equal_per_edge_functions():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        g = random_graph(rng, n, p=0.6)
+        params = random_params(g, rng)
+        z = tuple(int(b) for b in rng.integers(0, 2, n))
+        assign = Assignment(a=1, z=z, r_seed=0)
+        report = total_energy(params, assign, g)
+        for row in report.edges:
+            assert row.bound == edge_energy_bound(params, assign, g, row.edge)
+            if row.cut:
+                assert row.exact == edge_energy_exact(params, assign, g, row.edge)
+            else:
+                assert row.exact is None
 
 
 def test_gate_order_independence():
@@ -209,8 +225,7 @@ def test_gate_order_independence():
 def test_report_serialization():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.1})
-    report = total_energy(params, Assignment(a=1, z=(0, 1), r_seed=0), g,
-                          mode="exact_where_cut")
+    report = total_energy(params, Assignment(a=1, z=(0, 1), r_seed=0), g)
     payload = report.to_json_dict()
     assert payload["mode"] == "exact_where_cut"
     assert payload["edges"][0]["edge"] == "0-1"

@@ -71,6 +71,21 @@ def test_parse_json_rejects_garbage():
         parse_graph("{not json", fmt="json")
 
 
+def test_parse_json_rejects_non_list_edge_entry():
+    with pytest.raises(GraphError, match="edge entries"):
+        parse_graph('{"edges": [5]}', fmt="json")
+
+
+def test_parse_json_rejects_bool_vertex_count():
+    with pytest.raises(GraphError, match="'n'"):
+        parse_graph('{"n": true, "edges": []}', fmt="json")
+
+
+def test_parse_json_rejects_fractional_vertex_id():
+    with pytest.raises(GraphError, match="int i, int j"):
+        parse_graph('{"edges": [[0.5, 1, 1]]}', fmt="json")
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(1, 8))
@@ -139,6 +154,11 @@ def test_neighbor_index_symmetry_and_degrees():
     assert nbr.degrees == (2, 2, 1, 1)
     # zero-weight edges are structural neighbors
     assert 2 in nbr.neighbor_ids(1)
+
+
+def test_neighbor_index_is_built_once():
+    g = generate("cycle", {"n": 5})
+    assert g.neighbor_index() is g.neighbor_index()
 
 
 def test_graph_rejects_bad_edges_directly():
