@@ -17,14 +17,19 @@ import numpy as np
 
 from .energy import edge_energy_bound
 from .graph import Graph
-from .oracle import pauli_pair_expectations, simulate
-from .rounding import EdgeParameters, build_circuit, compute_gammas, sample_assignment
+from .oracle import DEFAULT_QUBIT_LIMIT, pauli_pair_expectations, simulate
+from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, compute_gammas,
+                       sample_assignment, sample_seeds)
 from .sdp import VectorSolution
 
 # Threshold the per-edge Monte-Carlo ratios are audited against: the floor to
 # three digits of ratio_constant(ALPHA0_DEFAULT) = 0.5625401, so the audit
 # tests against a threshold that lies below the proven constant.
 RATIO_TARGET = 0.562
+
+# Default Monte-Carlo sample counts of the cut-probability and per-edge ratio audits.
+CUT_SAMPLES = 100_000
+RATIO_SAMPLES = 20_000
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -87,7 +92,7 @@ def ratio_objective(gamma, alpha0: float, agw: float | None = None):
     return (agw / 6.0) * bracket * (2.0 + gamma) / (1.0 + gamma)
 
 
-def ratio_constant(alpha0: float = 0.041, points: int = 10001) -> tuple[float, float]:
+def ratio_constant(alpha0: float = ALPHA0_DEFAULT, points: int = 10001) -> tuple[float, float]:
     """(value, argmin gamma) of the guarantee ratio minimized over gamma in [0, 1].
 
     The ratio is P(cut) * (cut-edge energy bound) / (SDP share), with
@@ -118,7 +123,7 @@ def ratio_constant(alpha0: float = 0.041, points: int = 10001) -> tuple[float, f
     return val, gamma
 
 
-def ratio_constant_grid_only(alpha0: float = 0.041, points: int = 10001) -> float:
+def ratio_constant_grid_only(alpha0: float = ALPHA0_DEFAULT, points: int = 10001) -> float:
     """Dense-grid minimum alone, as an independent check on the refined value."""
     gammas = np.linspace(0.0, 1.0, points)
     return float(np.min(ratio_objective(gammas, alpha0)))
@@ -174,7 +179,7 @@ def monogamy_audit(vs: VectorSolution, g: Graph) -> Audit:
     return Audit(name="monogamy", passed=worst >= -tol, margin=worst, rows=tuple(rows))
 
 
-def cut_probability_audit(vs: VectorSolution, g: Graph, samples: int = 100_000,
+def cut_probability_audit(vs: VectorSolution, g: Graph, samples: int = CUT_SAMPLES,
                           seed: int = 0) -> Audit:
     """Empirical cut frequency per edge against (alpha_gw/3)(2 + gamma) - 5 sigma.
 
@@ -216,9 +221,9 @@ def cut_probability_audit(vs: VectorSolution, g: Graph, samples: int = 100_000,
     return Audit(name="cut_probability", passed=worst >= 0.0, margin=worst, rows=tuple(rows))
 
 
-def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = 20_000,
-                         alpha0: float = 0.041, seed: int = 0,
-                         sim_limit: int = 16) -> Audit:
+def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMPLES,
+                         alpha0: float = ALPHA0_DEFAULT, seed: int = 0,
+                         sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Audit:
     """Monte-Carlo per-edge ratio E[<4 H_ij>] / (v0 - v_ij).v0 against the target.
 
     Per-sample edge energies are exact (statevector) when the instance fits the
@@ -231,9 +236,8 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = 20_000,
     sums = dict.fromkeys(edges, 0.0)
     sq_sums = dict.fromkeys(edges, 0.0)
     exact_mode = g.n <= sim_limit
-    seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
-    for sd in seeds:
-        assign = sample_assignment(vs, int(sd))
+    for sd in sample_seeds(seed, samples):
+        assign = sample_assignment(vs, sd)
         if exact_mode:
             psi = simulate(build_circuit(assign, params, g), limit=sim_limit)
             for i, j in edges:
@@ -289,7 +293,7 @@ def positive_overlap_audit(vs: VectorSolution, g: Graph) -> Audit:
                  rows=tuple(rows))
 
 
-def minimizer_consistency_audit(alpha0: float = 0.041) -> Audit:
+def minimizer_consistency_audit(alpha0: float = ALPHA0_DEFAULT) -> Audit:
     """Dense-grid and golden-refined minima of the ratio objective must agree."""
     refined = ratio_constant(alpha0)[0]
     grid = ratio_constant_grid_only(alpha0)
@@ -338,9 +342,9 @@ class Certificate:
 
 
 def build_certificate(vs: VectorSolution | None = None, g: Graph | None = None,
-                      alpha0: float = 0.041, cut_samples: int = 100_000,
-                      ratio_samples: int = 20_000, seed: int = 0,
-                      sim_limit: int = 16) -> Certificate:
+                      alpha0: float = ALPHA0_DEFAULT, cut_samples: int = CUT_SAMPLES,
+                      ratio_samples: int = RATIO_SAMPLES, seed: int = 0,
+                      sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Certificate:
     """Constants plus, when a solved instance is supplied, the full audit set."""
     agw, agw_t = alpha_gw()
     ratio, ratio_gamma = ratio_constant(alpha0)

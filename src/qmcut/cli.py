@@ -21,8 +21,9 @@ import numpy as np
 from . import certify as certify_mod
 from .energy import total_energy
 from .graph import Graph, GraphError, parse_generator_spec, parse_graph
-from .oracle import QubitLimitError, exact_opt, expectation, simulate
-from .rounding import EdgeParameters, build_circuit, outcome_json_dict, sample_assignment
+from .oracle import DEFAULT_QUBIT_LIMIT, exact_opt, expectation, simulate
+from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, outcome_json_dict,
+                       sample_assignment, sample_seeds)
 from .sdp import SolverConfig, SolverError, build_model, extract_vectors, model_to_json, solve
 
 SCHEMA = "qmc-report/1"
@@ -38,9 +39,9 @@ class RunConfig:
     source: str
     rounds: int = 1000
     seed: int = 0
-    alpha0: float = 0.041
+    alpha0: float = ALPHA0_DEFAULT
     solver: SolverConfig = field(default_factory=SolverConfig)
-    sim_limit: int = 16
+    sim_limit: int = DEFAULT_QUBIT_LIMIT
     deterministic: bool = False
     audits: bool = False
 
@@ -49,18 +50,13 @@ class RunConfig:
             raise ValueError("rounds must be >= 1")
 
 
-def sample_seeds(master_seed: int, rounds: int) -> list[int]:
-    """Counter-split per-sample seeds: any single sample is reproducible alone."""
-    state = np.random.SeedSequence(master_seed).generate_state(rounds, dtype=np.uint64)
-    return [int(s) for s in state]
-
-
 def run_pipeline(cfg: RunConfig) -> dict:
     """Solve, round cfg.rounds times, evaluate each sample, and assemble a report.
 
     Per-sample energies use the statevector oracle when the instance fits the
     simulator and the certified lower bound otherwise; the report records which.
-    Solver failure yields a report with status "solver_failure" and residuals.
+    A solve or extraction failure yields a report with status "solver_failure",
+    the failing stage ("sdp" or "extract") and the residuals.
     """
     g = cfg.graph
     timings: dict[str, float] = {}
@@ -84,18 +80,20 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     t0 = time.perf_counter()
     model = build_model(g)
+    stage = "sdp"
     try:
         gram = solve(model, cfg.solver)
+        stage = "extract"
+        vs = extract_vectors(gram, cfg.solver)
     except SolverError as exc:
         report["status"] = "solver_failure"
-        report["stage"] = "sdp"
+        report["stage"] = stage
         report["sdp"] = {"residuals": exc.residuals.to_json_dict()}
         report["timings"] = None if cfg.deterministic else {
             "solve_s": time.perf_counter() - t0,
             "total_s": time.perf_counter() - t_start,
         }
         return report
-    vs = extract_vectors(gram, cfg.solver)
     timings["solve_s"] = time.perf_counter() - t0
     report["sdp"] = {
         "objective": gram.objective,
@@ -186,18 +184,14 @@ BENCH_COLUMNS = ("instance", "n", "edges", "opt_sdp", "opt",
                  "mean_ratio", "best_ratio", "solve_s", "total_s", "status")
 
 
-def bench(entries: list[tuple[str, Graph]], rounds: int = 1000, seed: int = 0,
-          alpha0: float = 0.041, solver: SolverConfig | None = None,
-          sim_limit: int = 16, deterministic: bool = False) -> list[dict]:
-    """One row per instance, keyed by BENCH_COLUMNS; failures become rows and the run
+def bench(configs: list[RunConfig]) -> list[dict]:
+    """One row per run, keyed by BENCH_COLUMNS; failures become rows and the run
     continues.  Values are typed, and None marks a field the run did not produce."""
     rows = []
-    for name, g in entries:
-        cfg = RunConfig(graph=g, source=name, rounds=rounds, seed=seed, alpha0=alpha0,
-                        solver=solver or SolverConfig(), sim_limit=sim_limit,
-                        deterministic=deterministic)
+    for cfg in configs:
         report = run_pipeline(cfg)
-        row = {**dict.fromkeys(BENCH_COLUMNS), "instance": name, "n": g.n, "edges": g.num_edges}
+        row = {**dict.fromkeys(BENCH_COLUMNS), "instance": cfg.source, "n": cfg.graph.n,
+               "edges": cfg.graph.num_edges}
         if report["status"] != "ok":
             rows.append({**row, "status": f"error:{report['stage']}"})
             continue
@@ -227,30 +221,15 @@ def bench_csv(rows: list[dict]) -> str:
 # Argument handling
 # --------------------------------------------------------------------------- #
 
-def _add_common(p: argparse.ArgumentParser, rounds_default: int = 1000) -> None:
-    p.add_argument("--input", help="graph file (.json or edge-list)")
-    p.add_argument("--generate", metavar="KIND:PARAMS",
-                   help="generator spec, e.g. erdos_renyi:n=8,p=0.4,seed=3")
-    p.add_argument("--rounds", type=int, default=rounds_default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha0", type=float, default=0.041)
-    p.add_argument("--tol-feas", type=float, default=1e-6)
-    p.add_argument("--tol-psd", type=float, default=1e-8)
-    p.add_argument("--max-iterations", type=int, default=200_000)
-    p.add_argument("--sim-limit", type=int, default=16)
-    p.add_argument("--out", help="output path (default: print to stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="bench output format (default csv)")
-    p.add_argument("--deterministic", action="store_true",
-                   help="zero wall-clock timings for byte-identical outputs")
-
-
 def _load_graph(args) -> tuple[str, Graph]:
     if args.input and args.generate:
         raise GraphError("give either --input or --generate, not both")
     if args.input:
         path = Path(args.input)
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
         fmt = "json" if path.suffix == ".json" else "edge-list"
         return str(path), parse_graph(text, fmt)
     if args.generate:
@@ -260,7 +239,7 @@ def _load_graph(args) -> tuple[str, Graph]:
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(eps_feas=args.tol_feas, eps_psd=args.tol_psd,
-                        max_iterations=args.max_iterations, seed=args.seed)
+                        max_iterations=args.max_iterations)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -270,8 +249,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run_config(args, audits: bool = False) -> RunConfig:
-    source, g = _load_graph(args)
+def _run_config(args, source: str, g: Graph, audits: bool = False) -> RunConfig:
     return RunConfig(graph=g, source=source, rounds=args.rounds, seed=args.seed,
                      alpha0=args.alpha0, solver=_solver_config(args),
                      sim_limit=args.sim_limit, deterministic=args.deterministic,
@@ -334,7 +312,8 @@ def cmd_certify(args) -> int:
         _, g, _, _, vs = _solved_vectors(args)
         cert = certify_mod.build_certificate(vs, g, alpha0=args.alpha0,
                                              cut_samples=args.samples,
-                                             ratio_samples=min(args.samples, 20_000),
+                                             ratio_samples=min(args.samples,
+                                                               certify_mod.RATIO_SAMPLES),
                                              seed=args.seed, sim_limit=args.sim_limit)
     else:
         cert = certify_mod.build_certificate(alpha0=args.alpha0)
@@ -356,70 +335,95 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    entries = []
-    for spec in (s for s in args.suite.split(";") if s.strip()):
-        entries.append((spec.strip(), parse_generator_spec(spec.strip())))
-    rows = bench(entries, rounds=args.rounds, seed=args.seed, alpha0=args.alpha0,
-                 solver=_solver_config(args), sim_limit=args.sim_limit,
-                 deterministic=args.deterministic)
+    specs = [s.strip() for s in args.suite.split(";") if s.strip()]
+    rows = bench([_run_config(args, spec, parse_generator_spec(spec)) for spec in specs])
     _emit(report_to_json(rows) if args.format == "json" else bench_csv(rows), args.out)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    report = run_pipeline(_run_config(args, audits=args.certify))
+    report = run_pipeline(_run_config(args, *_load_graph(args), audits=args.certify))
     _emit(report_to_json(report), args.out)
     return EXIT_OK if report["status"] == "ok" else EXIT_SOLVER
 
 
+# Every flag, with its one default taken from where the value is defined.  Plain
+# dataclass defaults are readable as class attributes (RunConfig.rounds).
+_FLAGS: dict[str, dict] = {
+    "--input": {"help": "graph file (.json or edge-list)"},
+    "--generate": {"metavar": "KIND:PARAMS",
+                   "help": "generator spec, e.g. erdos_renyi:n=8,p=0.4,seed=3"},
+    "--suite": {"required": True,
+                "help": "';'-separated generator specs, e.g. 'complete:n=2;path:n=3'"},
+    "--rounds": {"type": int, "default": RunConfig.rounds},
+    "--seed": {"type": int, "default": RunConfig.seed},
+    "--alpha0": {"type": float, "default": ALPHA0_DEFAULT},
+    "--samples": {"type": int, "default": certify_mod.CUT_SAMPLES},
+    "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
+    "--tol-feas": {"type": float, "default": SolverConfig.eps_feas},
+    "--tol-psd": {"type": float, "default": SolverConfig.eps_psd},
+    "--max-iterations": {"type": int, "default": SolverConfig.max_iterations},
+    "--deterministic": {"action": "store_true",
+                        "help": "zero wall-clock timings for byte-identical outputs"},
+    "--format": {"choices": ("csv", "json"), "default": "csv", "help": "bench output format"},
+    "--certify": {"action": "store_true", "help": "include the full audit set"},
+    "--sweep": {"action": "store_true", "help": "also sweep alpha0"},
+    "--dump-model": {"help": "write the model (labels, constraints) as JSON"},
+    "--out": {"help": "output path (default: print to stdout)"},
+}
+
+_INSTANCE = ("--input", "--generate")
+_SOLVER = ("--tol-feas", "--tol-psd", "--max-iterations")
+
+# Subcommand -> (handler, help, the flags the handler reads).
+_SUBCOMMANDS = {
+    "solve": (cmd_solve, "solve the relaxation and report the objective",
+              (*_INSTANCE, *_SOLVER, "--out", "--dump-model")),
+    "round": (cmd_round, "solve and draw one rounding sample",
+              (*_INSTANCE, "--seed", "--alpha0", *_SOLVER, "--out")),
+    "energy": (cmd_energy, "solve, round once, and report edge energies",
+               (*_INSTANCE, "--seed", "--alpha0", *_SOLVER, "--out")),
+    "exact": (cmd_exact, "exact largest eigenvalue by sector diagonalization",
+              (*_INSTANCE, "--sim-limit", "--out")),
+    "certify": (cmd_certify, "constants and instance audits",
+                (*_INSTANCE, "--seed", "--alpha0", "--samples", "--sim-limit", *_SOLVER,
+                 "--out", "--sweep")),
+    "bench": (cmd_bench, "run a suite of instances and emit CSV or JSON rows",
+              ("--suite", "--rounds", "--seed", "--alpha0", "--sim-limit", *_SOLVER,
+               "--deterministic", "--format", "--out")),
+    "pipeline": (cmd_pipeline, "full run: solve, round, evaluate, report",
+                 (*_INSTANCE, "--rounds", "--seed", "--alpha0", "--sim-limit", *_SOLVER,
+                  "--deterministic", "--certify", "--out")),
+}
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error (unknown flag, bad value, missing flag) as an input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qmcut",
-                                     description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="qmcut", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve the relaxation and report the objective")
-    _add_common(p)
-    p.add_argument("--dump-model", help="write the model (labels, constraints) as JSON")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("round", help="solve and draw one rounding sample")
-    _add_common(p)
-    p.set_defaults(func=cmd_round)
-
-    p = sub.add_parser("energy", help="solve, round once, and report edge energies")
-    _add_common(p)
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("exact", help="exact largest eigenvalue by sector diagonalization")
-    _add_common(p)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("certify", help="constants and instance audits")
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--sweep", action="store_true", help="also sweep alpha0")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("bench", help="run a suite of instances and emit CSV or JSON rows")
-    _add_common(p)
-    p.add_argument("--suite", required=True,
-                   help="';'-separated generator specs, e.g. 'complete:n=2;path:n=3'")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("pipeline", help="full run: solve, round, evaluate, report")
-    _add_common(p)
-    p.add_argument("--certify", action="store_true", help="include the full audit set")
-    p.set_defaults(func=cmd_pipeline)
-
+    for name, (handler, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (EXIT_INPUT)
+        return exc.code
     try:
         return args.func(args)
-    except (GraphError, FileNotFoundError, QubitLimitError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -180,7 +181,11 @@ def _parse_json(text: str) -> Graph:
     else:
         n = 1 + max((max(e[0], e[1]) for e in edges), default=-1)
     for i, j, w in edges:
-        _check_edge(i, j, float(w), n)
+        try:
+            w = float(w)
+        except OverflowError:
+            raise GraphError(f"edge ({i},{j}) has a weight too large for a float") from None
+        _check_edge(i, j, w, n)
     return Graph.from_edges(n, edges)
 
 
@@ -254,8 +259,14 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
 def _int_param(params: dict, name: str, low: int) -> int:
     if name not in params:
         raise GraphError(f"missing parameter {name!r}")
-    value = params.pop(name)
-    if int(value) != value or int(value) < low:
+    return _int_value(name, params.pop(name), low)
+
+
+def _int_value(name: str, value, low: int) -> int:
+    """value as an int when it is a whole number >= low; inf, nan and fractions fail."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float)
+                                                   and value.is_integer())
+    if not whole or value < low:
         raise GraphError(f"parameter {name}={value} must be an integer >= {low}")
     return int(value)
 
@@ -274,5 +285,5 @@ def parse_generator_spec(spec: str) -> Graph:
                 params[key.strip()] = float(value)
             except ValueError:
                 raise GraphError(f"bad numeric value in {item!r}") from None
-    seed = int(params.pop("seed", 0))
+    seed = _int_value("seed", params.pop("seed", 0), low=0)
     return generate(kind, params, seed=seed)

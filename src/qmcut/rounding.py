@@ -72,6 +72,15 @@ class Circuit:
     gates: tuple[Gate, ...]
 
 
+def sample_seeds(master_seed: int, count: int) -> list[int]:
+    """Counter-split per-sample seeds: any single sample is reproducible alone.
+
+    The schedule is prefix-stable: the first k seeds do not depend on count.
+    """
+    state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
+    return [int(s) for s in state]
+
+
 def sample_assignment(vs: VectorSolution, seed: int) -> Assignment:
     """One hyperplane-rounding sample, deterministic in the seed.
 

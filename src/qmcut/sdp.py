@@ -232,29 +232,33 @@ def model_to_json(model: SdpModel) -> str:
 # Solver
 # --------------------------------------------------------------------------- #
 
+# Fixed step parameters of the splitting solver and the extraction tolerance.
+RHO = 0.5                   # initial penalty parameter (adapted during the run)
+OVER_RELAXATION = 1.8
+STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
+CHECK_EVERY = 25
+ADAPT_EVERY = 100
+POLISH_ITERATIONS = 500
+EPS_EXTRACT = 1e-6          # max |V V^T - M| accepted by extract_vectors
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and step parameters for the splitting solver.
+    """Tolerances and iteration cap for the splitting solver.
 
     The contract is what matters: the returned matrix is PSD to eps_psd,
     satisfies every equality to eps_feas, and extraction reproduces it to
-    eps_extract.
+    EPS_EXTRACT.  The step parameters are the module constants RHO,
+    OVER_RELAXATION, STOP_TOL, CHECK_EVERY, ADAPT_EVERY and POLISH_ITERATIONS.
     """
 
     eps_feas: float = 1e-6
     eps_psd: float = 1e-8
-    eps_extract: float = 1e-6
     max_iterations: int = 200_000
-    rho: float = 0.5                # penalty parameter (adapted during the run)
-    over_relaxation: float = 1.8
-    stop_tol: float = 1e-7          # max-norm target for primal/dual residuals
-    check_every: int = 25
-    adapt_every: int = 100
-    polish_iterations: int = 500
     seed: int = 0                   # unused: the solver starts from the identity
 
     def __post_init__(self):
-        for name in ("eps_feas", "eps_psd", "eps_extract", "stop_tol"):
+        for name in ("eps_feas", "eps_psd"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -342,8 +346,8 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
 
     Z = np.eye(d)
     U = np.zeros((d, d))
-    rho = cfg.rho
-    alpha = cfg.over_relaxation
+    rho = RHO
+    alpha = OVER_RELAXATION
     converged = False
     iterations = 0
 
@@ -354,14 +358,14 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
         W = Xhat + U
         Z_new = project_psd(W)
         U = W - Z_new
-        if it % cfg.check_every == 0:
+        if it % CHECK_EVERY == 0:
             r = float(np.abs(X - Z_new).max())
             s = float(rho * np.abs(Z_new - Z).max())
-            if r <= cfg.stop_tol and s <= cfg.stop_tol:
+            if r <= STOP_TOL and s <= STOP_TOL:
                 Z = Z_new
                 converged = True
                 break
-            if it % cfg.adapt_every == 0:
+            if it % ADAPT_EVERY == 0:
                 if r > 10.0 * s:
                     rho *= 2.0
                     U /= 2.0
@@ -373,7 +377,7 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     # Polish: plain alternating projections from the splitting iterate onto the
     # intersection (nonempty with interior: the identity is strictly feasible).
     M = Z
-    for _ in range(cfg.polish_iterations):
+    for _ in range(POLISH_ITERATIONS):
         M = project_affine(M)
         w, Q = np.linalg.eigh(M)
         if w[0] >= -0.1 * cfg.eps_psd:
@@ -407,8 +411,7 @@ class VectorSolution:
     """Unit vectors realizing the Gram matrix; one row per index label.
 
     The embedding dimension equals the Gram size (full eigenbasis).  Rows are
-    renormalized to exactly unit length after extraction; the pre-normalization
-    deviation is recorded in normalization_shift.
+    renormalized to exactly unit length after extraction.
     """
 
     index: GramIndex
@@ -416,7 +419,6 @@ class VectorSolution:
     dim: int
     residuals: Residuals
     extraction_error: float
-    normalization_shift: float
     eps_extract: float
 
     @property
@@ -425,9 +427,6 @@ class VectorSolution:
 
     def v_single(self, i: int, a: int) -> np.ndarray:
         return self.vectors[self.index.single_row(i, a)]
-
-    def v_pair(self, i: int, j: int, a: int) -> np.ndarray:
-        return self.vectors[self.index.pair_row(i, j, a)]
 
     def pair_sum(self, i: int, j: int) -> np.ndarray:
         """v_{ij} = v_{ij,1} + v_{ij,2} + v_{ij,3}."""
@@ -457,20 +456,17 @@ def extract_vectors(sol: GramSolution, cfg: SolverConfig | None = None) -> Vecto
     np.clip(w, 0.0, None, out=w)
     V = Q * np.sqrt(w)
     extraction_error = float(np.abs(V @ V.T - sol.M).max())
-    if extraction_error > cfg.eps_extract:
+    if extraction_error > EPS_EXTRACT:
         raise SolverError(f"dot-product reconstruction error {extraction_error:.3e} "
                           f"exceeds eps_extract", sol.residuals)
-    norms = np.linalg.norm(V, axis=1)
-    normalization_shift = float(np.abs(norms - 1.0).max())
-    V = V / norms[:, None]
+    V = V / np.linalg.norm(V, axis=1)[:, None]
     return VectorSolution(
         index=sol.index,
         vectors=V,
         dim=V.shape[1],
         residuals=sol.residuals,
         extraction_error=extraction_error,
-        normalization_shift=normalization_shift,
-        eps_extract=cfg.eps_extract,
+        eps_extract=EPS_EXTRACT,
     )
 
 

@@ -93,7 +93,6 @@ def synthetic_solution(singles: np.ndarray,
         residuals=Residuals(max_constraint=0.0, min_eigenvalue=0.0, iterations=0,
                             converged=True),
         extraction_error=0.0,
-        normalization_shift=0.0,
         eps_extract=eps_extract,
     )
 

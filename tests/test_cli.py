@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from qmcut.cli import EXIT_AUDIT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, main
+from qmcut.cli import EXIT_AUDIT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
+from qmcut.sdp import SolverError
 
 
 def run(args):
@@ -147,3 +149,99 @@ def test_bench_json_format(capsys):
         assert type(rows[0][key]) is int
     for key in ("opt_sdp", "opt", "mean_ratio", "best_ratio", "solve_s", "total_s"):
         assert type(rows[0][key]) is float
+
+
+def _failing_extract(gram, cfg=None):
+    raise SolverError("injected extraction failure", gram.residuals)
+
+
+def test_extraction_failure_is_a_bench_row(monkeypatch, capsys):
+    monkeypatch.setattr("qmcut.cli.extract_vectors", _failing_extract)
+    assert run(["bench", "--suite", "complete:n=2;path:n=3", "--rounds", "10",
+                "--deterministic", "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["status"] for row in rows] == ["error:extract", "error:extract"]
+
+
+def test_extraction_failure_writes_pipeline_report(monkeypatch, tmp_path):
+    monkeypatch.setattr("qmcut.cli.extract_vectors", _failing_extract)
+    out = tmp_path / "r.json"
+    assert run(["pipeline", "--generate", "complete:n=2", "--out", str(out)]) == EXIT_SOLVER
+    report = json.loads(out.read_text())
+    assert report["status"] == "solver_failure"
+    assert report["stage"] == "extract"
+    assert report["sdp"]["residuals"]["converged"] is True
+
+
+@pytest.mark.parametrize("spec", ["complete:n=inf", "complete:n=2,seed=inf",
+                                  "complete:n=2,seed=1.7"])
+def test_non_integer_generator_parameter_is_input_error(spec, capsys):
+    assert run(["exact", "--generate", spec]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_directory_input_is_input_error(tmp_path, capsys):
+    assert run(["exact", "--input", str(tmp_path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_json_weight_too_large_for_float_is_input_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"edges": [[0, 1, 1' + "0" * 400 + ']]}')
+    assert run(["exact", "--input", str(path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+# Each subcommand's flags, a value for each, and one flag it must reject.
+PARSER_TABLE = {
+    "solve": ({"--input": "g.txt", "--generate": "path:n=3", "--tol-feas": "1e-6",
+               "--tol-psd": "1e-8", "--max-iterations": "10", "--out": "o.json",
+               "--dump-model": "m.json"}, ["--seed", "1"]),
+    "round": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
+               "--alpha0": "0.05", "--tol-feas": "1e-6", "--tol-psd": "1e-8",
+               "--max-iterations": "10", "--out": "o.json"}, ["--rounds", "5"]),
+    "energy": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
+                "--alpha0": "0.05", "--tol-feas": "1e-6", "--tol-psd": "1e-8",
+                "--max-iterations": "10", "--out": "o.json"}, ["--sim-limit", "4"]),
+    "exact": ({"--input": "g.txt", "--generate": "path:n=3", "--sim-limit": "4",
+               "--out": "o.json"}, ["--rounds", "5"]),
+    "certify": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
+                 "--alpha0": "0.05", "--samples": "100", "--sim-limit": "4",
+                 "--tol-feas": "1e-6", "--tol-psd": "1e-8", "--max-iterations": "10",
+                 "--out": "o.json", "--sweep": None}, ["--deterministic"]),
+    "bench": ({"--suite": "path:n=3", "--rounds": "5", "--seed": "1", "--alpha0": "0.05",
+               "--sim-limit": "4", "--tol-feas": "1e-6", "--tol-psd": "1e-8",
+               "--max-iterations": "10", "--deterministic": None, "--format": "json",
+               "--out": "o.csv"}, ["--input", "x"]),
+    "pipeline": ({"--input": "g.txt", "--generate": "path:n=3", "--rounds": "5",
+                  "--seed": "1", "--alpha0": "0.05", "--sim-limit": "4",
+                  "--tol-feas": "1e-6", "--tol-psd": "1e-8", "--max-iterations": "10",
+                  "--deterministic": None, "--certify": None, "--out": "o.json"},
+                 ["--format", "csv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_TABLE))
+def test_parser_accepts_exactly_the_flags_its_handler_reads(command, capsys):
+    flags, outside = PARSER_TABLE[command]
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert registered - {"-h", "--help"} == set(flags)
+
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    args = parser.parse_args(argv)
+    assert args.func.__name__ == f"cmd_{command}"
+
+    required = ["--suite", ""] if command == "bench" else []
+    assert run([command, *required, *outside]) == EXIT_INPUT
+    assert run([command, "--help"]) == EXIT_OK
+
+
+def test_usage_errors_are_input_errors(capsys):
+    assert run(["pipeline", "--rounds", "many"]) == EXIT_INPUT
+    assert run(["bench"]) == EXIT_INPUT
+    assert run(["frobnicate"]) == EXIT_INPUT
+    assert run([]) == EXIT_INPUT

@@ -14,7 +14,7 @@ from qmcut import (
     theta_map,
 )
 from qmcut.oracle import simulate
-from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, outcome_json_dict
+from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, outcome_json_dict, sample_seeds
 
 
 def test_sample_assignment_deterministic():
@@ -24,6 +24,12 @@ def test_sample_assignment_deterministic():
     b = sample_assignment(vs, 42)
     assert a == b
     assert sample_assignment(vs, 43) != a
+
+
+@given(st.integers(0, 2**63), st.integers(0, 50), st.integers(0, 50))
+@settings(max_examples=50, deadline=None)
+def test_sample_seeds_prefix_stable(master, k, m):
+    assert sample_seeds(master, k) == sample_seeds(master, k + m)[:k]
 
 
 def test_sample_assignment_identical_vectors_never_split():

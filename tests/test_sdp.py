@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -265,3 +265,8 @@ def test_solver_config_validation():
         SolverConfig(eps_feas=0.0)
     with pytest.raises(ValueError):
         SolverConfig(eps_psd=-1e-9)
+
+
+def test_solver_config_fields():
+    assert [f.name for f in fields(SolverConfig)] == ["eps_feas", "eps_psd",
+                                                      "max_iterations", "seed"]
