@@ -18,8 +18,8 @@ import numpy as np
 from .energy import edge_energy_bound
 from .graph import Graph
 from .oracle import DEFAULT_QUBIT_LIMIT, pauli_pair_expectations, simulate
-from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, compute_gammas,
-                       sample_assignment, sample_seeds)
+from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
+                       compute_gammas, sample_assignment, sample_seeds)
 from .sdp import VectorSolution
 
 # Threshold the per-edge Monte-Carlo ratios are audited against: the floor to
@@ -115,8 +115,7 @@ def ratio_constant(alpha0: float = ALPHA0_DEFAULT, points: int = 10001) -> tuple
     4x^2 + 5x - 8 = 0 with x = e^(-2 alpha0): alpha0* ~ 0.04106, value
     ~ 0.562624.  Both values truncate to the three-digit constant 0.562.
     """
-    if alpha0 < 0:
-        raise ValueError("alpha0 must be nonnegative")
+    check_alpha0(alpha0)
     agw = alpha_gw()[0]
     gamma, val = grid_golden_min(lambda g: ratio_objective(g, alpha0, agw), 0.0, 1.0,
                                  points=points)
@@ -164,12 +163,11 @@ def monogamy_audit(vs: VectorSolution, g: Graph) -> Audit:
     A vertex of degree d can collect at most (d+1)/2 from its incident edges;
     on valid solutions every slack is nonnegative up to extraction noise.
     """
-    nbr = g.neighbor_index()
     tol = 10.0 * vs.eps_extract
     rows = []
     worst = math.inf
     for i in range(g.n):
-        ids = nbr.neighbor_ids(i)
+        ids = g.neighbors[i]
         d = len(ids)
         star = sum(0.25 * (1.0 - vs.pair_sum_dot_unit(i, j)) for j in ids)
         slack = (d + 1) / 2.0 - star
@@ -230,6 +228,8 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     simulator, otherwise the certified lower bound is used.  Edges with a
     vanishing share are skipped and listed.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     params = EdgeParameters.from_solution(vs, g, alpha0)
     edges = [(i, j) for i, j, _ in g.edges]
     shares = {(i, j): 1.0 - vs.pair_sum_dot_unit(i, j) for i, j in edges}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, NeighborIndex
+from .graph import Graph
 from .rounding import Assignment, EdgeParameters
 
 
@@ -74,7 +74,7 @@ def _check_nonnegative_thetas(params: EdgeParameters) -> None:
         raise ValueError(f"negative rotation angle {worst}; the bound requires theta >= 0")
 
 
-def _cut_edge_terms(params: EdgeParameters, nbr: NeighborIndex, p: int,
+def _cut_edge_terms(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p: int,
                     q: int) -> tuple[float, float, float, float]:
     """(s_pq, A, B, even_subset_sum) of the cut edge (p, q) with z_p = 0.
 
@@ -86,8 +86,8 @@ def _cut_edge_terms(params: EdgeParameters, nbr: NeighborIndex, p: int,
     The product form sums the even-subset expansion exactly while staying
     finite when some cos(2 theta) vanishes, and costs O(deg) per edge.
     """
-    cos_p = {k: math.cos(2.0 * _theta(params, p, k)) for k in nbr.neighbor_ids(p) if k != q}
-    cos_q = {k: math.cos(2.0 * _theta(params, k, q)) for k in nbr.neighbor_ids(q) if k != p}
+    cos_p = {k: math.cos(2.0 * _theta(params, p, k)) for k in nbrs[p] if k != q}
+    cos_q = {k: math.cos(2.0 * _theta(params, k, q)) for k in nbrs[q] if k != p}
     s_pq = math.sin(2.0 * _theta(params, p, q))
 
     A = math.prod(cos_p.values())
@@ -103,10 +103,10 @@ def _cut_edge_terms(params: EdgeParameters, nbr: NeighborIndex, p: int,
     return s_pq, A, B, 0.5 * (plus + minus) * rest
 
 
-def _cut_edge_energies(params: EdgeParameters, nbr: NeighborIndex, p: int,
+def _cut_edge_energies(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p: int,
                        q: int) -> tuple[float, float]:
     """(bound, exact) <4 H_pq> of the cut edge (p, q) with z_p = 0."""
-    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, nbr, p, q)
+    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, nbrs, p, q)
     return 1.0 + s_pq * (A + B) + A * B, 1.0 + s_pq * A + s_pq * B + even_subset_sum
 
 
@@ -118,14 +118,14 @@ def edge_pauli_terms(params: EdgeParameters, assign: Assignment, g: Graph,
     of _cut_edge_terms.
     """
     p, q = _orient_cut(assign, edge)
-    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, g.neighbor_index(), p, q)
+    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, g.neighbors, p, q)
     return -s_pq * A, -s_pq * B, -even_subset_sum
 
 
 def edge_energy_exact(params: EdgeParameters, assign: Assignment, g: Graph,
                       edge: tuple[int, int]) -> float:
     """Exact <4 H_ij> on a cut edge (orientation-free)."""
-    return _cut_edge_energies(params, g.neighbor_index(), *_orient_cut(assign, edge))[1]
+    return _cut_edge_energies(params, g.neighbors, *_orient_cut(assign, edge))[1]
 
 
 def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
@@ -139,7 +139,7 @@ def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
     i, j = edge
     if assign.z[i] == assign.z[j]:
         return 0.0
-    return _cut_edge_energies(params, g.neighbor_index(), *_orient_cut(assign, edge))[0]
+    return _cut_edge_energies(params, g.neighbors, *_orient_cut(assign, edge))[0]
 
 
 def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEnergyReport:
@@ -149,7 +149,6 @@ def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEn
     total is itself a lower bound on the true state energy.
     """
     _check_nonnegative_thetas(params)
-    nbr = g.neighbor_index()
     rows = []
     bound_total = 0.0
     exact_total = 0.0
@@ -157,7 +156,7 @@ def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEn
     for i, j, w in g.edges:
         cut = assign.z[i] != assign.z[j]
         if cut:
-            bound, exact = _cut_edge_energies(params, nbr, *_orient_cut(assign, (i, j)))
+            bound, exact = _cut_edge_energies(params, g.neighbors, *_orient_cut(assign, (i, j)))
         else:
             bound, exact = 0.0, None
             uncut.append((i, j))

@@ -73,22 +73,14 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbor_index(self) -> "NeighborIndex":
-        """The graph's neighbour lists, built on first use and shared afterwards."""
-        return self._neighbor_index
-
     @cached_property
-    def _neighbor_index(self) -> "NeighborIndex":
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        for lst in adj:
-            lst.sort()
-        return NeighborIndex(
-            adjacency=tuple(tuple(lst) for lst in adj),
-            degrees=tuple(len(lst) for lst in adj),
-        )
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour ids of each vertex, zero-weight edges included; built once."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j, _ in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(tuple(sorted(ids)) for ids in adj)
 
     def relabeled(self, perm) -> "Graph":
         """Graph with vertex i renamed to perm[i]."""
@@ -96,20 +88,6 @@ class Graph:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[i, j, w] for i, j, w in self.edges]}
-
-
-@dataclass(frozen=True)
-class NeighborIndex:
-    """Per-vertex sorted adjacency with weights; symmetric by construction."""
-
-    adjacency: tuple[tuple[tuple[int, float], ...], ...]
-    degrees: tuple[int, ...]
-
-    def neighbors(self, i: int) -> tuple[tuple[int, float], ...]:
-        return self.adjacency[i]
-
-    def neighbor_ids(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.adjacency[i])
 
 
 def parse_graph(text: str, fmt: str = "edge-list") -> Graph:

@@ -47,6 +47,7 @@ class EdgeParameters:
     @classmethod
     def from_solution(cls, vs: VectorSolution, g: Graph,
                       alpha0: float = ALPHA0_DEFAULT) -> "EdgeParameters":
+        check_alpha0(alpha0)
         gamma = compute_gammas(vs, g)
         theta = {e: theta_map(gm, alpha0) for e, gm in gamma.items()}
         return cls(gamma=gamma, theta=theta, alpha0=alpha0)
@@ -123,6 +124,12 @@ def compute_gammas(vs: VectorSolution, g: Graph) -> dict[tuple[int, int], float]
     return out
 
 
+def check_alpha0(alpha0: float) -> None:
+    """Raise ValueError unless alpha0 is finite and nonnegative."""
+    if not 0.0 <= alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be finite and nonnegative, got {alpha0}")
+
+
 def theta_map(gamma: float, alpha0: float = ALPHA0_DEFAULT) -> float:
     """Rotation angle f(gamma) = arccos(exp(-alpha0 * max(gamma, 0)))/2.
 
@@ -131,8 +138,7 @@ def theta_map(gamma: float, alpha0: float = ALPHA0_DEFAULT) -> float:
     [-1, 0]; cos(2 f(x)) = e^(-alpha0 x) for x >= 0, so cosine products
     compose additively in gamma.
     """
-    if alpha0 < 0:
-        raise ValueError("alpha0 must be nonnegative")
+    check_alpha0(alpha0)
     if gamma < -1.0 - 1e-8 or gamma > 1.0 + 1e-8:
         warnings.warn(f"gamma={gamma} outside [-1, 1]; clamping", stacklevel=2)
     g = min(max(gamma, -1.0), 1.0)

@@ -10,7 +10,8 @@ any Gram factorization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -50,7 +51,7 @@ def pair(i: int, j: int, a: int) -> Label:
 class GramIndex:
     """Ordered label set for the Gram matrix; Unit is always row 0.
 
-    With the full pair set the size is 1 + 3n + 3*n*(n-1)/2.
+    The size is 1 + 3n + 3*n*(n-1)/2.
     """
 
     n: int
@@ -62,15 +63,11 @@ class GramIndex:
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        seen = dict.fromkeys((lab[1], lab[2]) for lab in self.labels if lab[0] == "pair")
-        return tuple(seen)
+        return tuple(combinations(range(self.n), 2))
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def row(self, label: Label) -> int:
-        return self.lookup[label]
 
     def single_row(self, i: int, a: int) -> int:
         return self.lookup[single(i, a)]
@@ -78,23 +75,14 @@ class GramIndex:
     def pair_row(self, i: int, j: int, a: int) -> int:
         return self.lookup[pair(i, j, a)]
 
-    def has_pair(self, i: int, j: int) -> bool:
-        return pair(i, j, 1) in self.lookup
 
-
-def build_index(n: int, pairs=None) -> GramIndex:
-    """Deterministic label ordering: Unit, Singles by (i, a), Pairs by (i, j, a).
-
-    `pairs` restricts the pair labels (default: all i < j).
-    """
+def build_index(n: int) -> GramIndex:
+    """Deterministic label ordering: Unit, Singles by (i, a), Pairs by (i, j, a) over all i < j."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if pairs is None:
-        pairs = combinations(range(n), 2)
     labels: list[Label] = [UNIT]
     labels.extend(single(i, a) for i in range(n) for a in AXES)
-    for i, j in sorted(tuple(sorted(p)) for p in pairs):
-        labels.extend(pair(i, j, a) for a in AXES)
+    labels.extend(pair(i, j, a) for i, j in combinations(range(n), 2) for a in AXES)
     return GramIndex(n=n, labels=tuple(labels))
 
 
@@ -121,23 +109,14 @@ class SdpModel:
         return counts
 
 
-def build_model(g: Graph, all_pairs: bool = True) -> SdpModel:
-    """Assemble objective and the eight constraint families for a graph.
+def build_model(g: Graph) -> SdpModel:
+    """Assemble the objective and the eight constraint families for a graph.
 
-    Constraints quantify over all distinct vertex pairs and triples of the pair
-    universe, not only edges.  With all_pairs=False the pair universe shrinks
-    to edges plus pairs of vertices sharing a graph neighbor (enough to keep
-    every star's monogamy structure); the faithful default is all pairs.
+    Constraints quantify over all distinct vertex pairs and triples, not only
+    edges.
     """
     n = g.n
-    if all_pairs:
-        pair_set = set(combinations(range(n), 2))
-    else:
-        pair_set = {(i, j) for i, j, _ in g.edges}
-        nbr = g.neighbor_index()
-        for v in range(n):
-            pair_set.update(combinations(nbr.neighbor_ids(v), 2))
-    index = build_index(n, pair_set)
+    index = build_index(n)
 
     cons: list[Constraint] = []
 
@@ -174,8 +153,6 @@ def build_model(g: Graph, all_pairs: bool = True) -> SdpModel:
             )
 
     for i, j, k in combinations(range(n), 3):
-        if not (index.has_pair(i, j) and index.has_pair(j, k) and index.has_pair(i, k)):
-            continue
         for pivot, p, q in ((j, i, k), (i, j, k), (k, i, j)):
             for a in AXES:
                 add(
@@ -258,9 +235,13 @@ class SolverConfig:
     seed: int = 0                   # unused: the solver starts from the identity
 
     def __post_init__(self):
+        # NaN and inf must fail here: no residual compares above either, so
+        # they would pass every tolerance gate in solve and extract_vectors.
         for name in ("eps_feas", "eps_psd"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,9 @@ def test_ratio_constant_alpha0_zero():
 
 
 def test_ratio_constant_rejects_negative_alpha0():
-    with pytest.raises(ValueError):
-        ratio_constant(-0.01)
+    for bad in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ratio_constant(bad)
 
 
 def test_ratio_objective_sin_and_surd_forms_agree():
@@ -159,6 +160,14 @@ def test_per_edge_ratio_k2(solved):
     want = (2.0 + 2.0 * math.sin(2 * theta)) / 4.0
     assert row["ratio"] == pytest.approx(want, abs=1e-4)
     assert audit.passed
+
+
+def test_sampled_audits_reject_zero_samples(solved):
+    inst = solved("K2")
+    with pytest.raises(ValueError, match="at least one sample"):
+        cut_probability_audit(inst.vectors, inst.graph, samples=0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        per_edge_ratio_audit(inst.vectors, inst.graph, samples=0)
 
 
 def test_per_edge_ratio_star(solved):

@@ -192,6 +192,29 @@ def test_json_weight_too_large_for_float_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--tol-feas", "nan"), ("--tol-psd", "inf"),
+                                         ("--max-iterations", "0")])
+def test_invalid_solver_setting_is_input_error(flag, value, capsys):
+    assert run(["solve", "--generate", "complete:n=2", flag, value]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["complete:n=2", "path:n=1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command, extra", [("round", []), ("energy", []),
+                                            ("pipeline", ["--rounds", "5"]),
+                                            ("certify", ["--samples", "100"])],
+                         ids=["round", "energy", "pipeline", "certify"])
+def test_invalid_alpha0_is_input_error(command, extra, value, spec, tmp_path, capsys):
+    # path:n=1 has no edge, so no rotation angle is computed from alpha0
+    out = tmp_path / "out.json"
+    code = run([command, "--generate", spec, "--alpha0", value, *extra,
+                "--out", str(out)])
+    assert code == EXIT_INPUT
+    written = capsys.readouterr().out + (out.read_text() if out.exists() else "")
+    assert "NaN" not in written and "Infinity" not in written
+
+
 # Each subcommand's flags, a value for each, and one flag it must reject.
 PARSER_TABLE = {
     "solve": ({"--input": "g.txt", "--generate": "path:n=3", "--tol-feas": "1e-6",

@@ -84,7 +84,6 @@ def test_pauli_term_identities_against_oracle():
         z = tuple(int(b) for b in rng.integers(0, 2, n))
         assign = Assignment(a=1, z=z, r_seed=0)
         psi = simulate(build_circuit(assign, params, g))
-        nbr = g.neighbor_index()
         for i, j, _ in g.edges:
             if z[i] == z[j]:
                 continue
@@ -93,10 +92,10 @@ def test_pauli_term_identities_against_oracle():
             s = math.sin(2 * params.theta[(i, j) if i < j else (j, i)])
             a_prod = math.prod(
                 math.cos(2 * params.theta[tuple(sorted((p, k)))])
-                for k in nbr.neighbor_ids(p) if k != q)
+                for k in g.neighbors[p] if k != q)
             b_prod = math.prod(
                 math.cos(2 * params.theta[tuple(sorted((k, q)))])
-                for k in nbr.neighbor_ids(q) if k != p)
+                for k in g.neighbors[q] if k != p)
             assert xx == pytest.approx(-s * a_prod, abs=1e-12)
             assert yy == pytest.approx(-s * b_prod, abs=1e-12)
             oracle = pauli_pair_expectations(psi, i, j)

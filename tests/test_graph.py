@@ -147,18 +147,19 @@ def test_generate_weight_range_deterministic():
 
 def test_neighbor_index_symmetry_and_degrees():
     g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.0), (0, 3, 2.0)])
-    nbr = g.neighbor_index()
+    nbrs = g.neighbors
     for i in range(4):
-        for j, _ in nbr.neighbors(i):
-            assert i in nbr.neighbor_ids(j)
-    assert nbr.degrees == (2, 2, 1, 1)
+        assert list(nbrs[i]) == sorted(nbrs[i])
+        for j in nbrs[i]:
+            assert i in nbrs[j]
+    assert tuple(len(ids) for ids in nbrs) == (2, 2, 1, 1)
     # zero-weight edges are structural neighbors
-    assert 2 in nbr.neighbor_ids(1)
+    assert 2 in nbrs[1]
 
 
 def test_neighbor_index_is_built_once():
     g = generate("cycle", {"n": 5})
-    assert g.neighbor_index() is g.neighbor_index()
+    assert g.neighbors is g.neighbors
 
 
 def test_graph_rejects_bad_edges_directly():

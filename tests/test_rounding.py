@@ -182,8 +182,9 @@ def test_theta_map_clamps_with_warning():
 
 
 def test_theta_map_rejects_negative_alpha0():
-    with pytest.raises(ValueError):
-        theta_map(0.5, alpha0=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            theta_map(0.5, alpha0=bad)
 
 
 def _k2_params(theta01=0.3):
