@@ -20,7 +20,7 @@ from .graph import Graph
 from .oracle import DEFAULT_QUBIT_LIMIT, pauli_pair_expectations, simulate
 from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
                        compute_gammas, sample_assignment, sample_seeds)
-from .sdp import VectorSolution
+from .sdp import EPS_EXTRACT, VectorSolution
 
 # Threshold the per-edge Monte-Carlo ratios are audited against: the floor to
 # three digits of ratio_constant(ALPHA0_DEFAULT) = 0.5625401, so the audit
@@ -98,8 +98,9 @@ def ratio_constant(alpha0: float = ALPHA0_DEFAULT, points: int = 10001) -> tuple
     The ratio is P(cut) * (cut-edge energy bound) / (SDP share), with
     v_ij . v0 = -1 - 2 gamma (see compute_gammas):
 
-    - P(cut) >= (alpha_gw / 3)(2 + gamma), from the axis average of
-      arccos(t_a)/pi >= alpha_gw (1 - t_a)/2 with sum_a t_a = v_ij . v0;
+    - P(cut) >= (alpha_gw / 3)(2 + gamma), from one hyperplane cut on the
+      singles Gram G with G_ij = v_ij . v0 / 3 = -(1 + 2 gamma)/3:
+      arccos(G_ij)/pi >= alpha_gw (1 - G_ij)/2, with no axis average;
     - the cut-edge bound is edge_energy_bound = 1 + s(A + B) + AB with
       s = sin 2 theta = sqrt(1 - e^(-2 alpha0 gamma)) (theta_map) and
       A, B >= e^(-alpha0 (1 - gamma)) (positive_overlap_audit);
@@ -163,7 +164,7 @@ def monogamy_audit(vs: VectorSolution, g: Graph) -> Audit:
     A vertex of degree d can collect at most (d+1)/2 from its incident edges;
     on valid solutions every slack is nonnegative up to extraction noise.
     """
-    tol = 10.0 * vs.eps_extract
+    tol = 10.0 * EPS_EXTRACT
     rows = []
     worst = math.inf
     for i in range(g.n):
@@ -182,26 +183,20 @@ def cut_probability_audit(vs: VectorSolution, g: Graph, samples: int = CUT_SAMPL
     """Empirical cut frequency per edge against (alpha_gw/3)(2 + gamma) - 5 sigma.
 
     Sampling is vectorized in chunks but distributed identically to
-    sample_assignment: a uniform axis and independent normal directions.
+    sample_assignment: one hyperplane cut on G per sample, by the signs of F r
+    for n independent standard normals r.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     gammas = compute_gammas(vs, g)
     agw = alpha_gw()[0]
-    singles = np.stack([vs.singles(a) for a in (1, 2, 3)])
     edges = [(i, j) for (i, j) in gammas]
     counts = dict.fromkeys(edges, 0)
     rng = np.random.default_rng(seed)
     done = 0
     while done < samples:
         size = min(20_000, samples - done)
-        axes = rng.integers(0, 3, size=size)
-        r = rng.standard_normal((size, vs.dim))
-        bits = np.empty((size, g.n), dtype=bool)
-        for av in range(3):
-            mask = axes == av
-            if mask.any():
-                bits[mask] = (r[mask] @ singles[av].T) >= 0.0
+        bits = rng.standard_normal((size, g.n)) @ vs.F.T >= 0.0
         for i, j in edges:
             counts[(i, j)] += int(np.count_nonzero(bits[:, i] ^ bits[:, j]))
         done += size
@@ -276,7 +271,7 @@ def positive_overlap_audit(vs: VectorSolution, g: Graph) -> Audit:
     edge bounded below, and it follows from the star bound on valid solutions.
     """
     gammas = compute_gammas(vs, g)
-    tol = 10.0 * vs.eps_extract
+    tol = 10.0 * EPS_EXTRACT
     totals = dict.fromkeys(range(g.n), 0.0)
     for (i, j), gm in gammas.items():
         if gm > 0.0:

@@ -26,7 +26,7 @@ from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, outcome_js
                        sample_assignment, sample_seeds)
 from .sdp import SolverConfig, SolverError, build_model, extract_vectors, model_to_json, solve
 
-SCHEMA = "qmc-report/1"
+SCHEMA = "qmc-report/2"
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_AUDIT = 3
@@ -53,8 +53,10 @@ class RunConfig:
 def run_pipeline(cfg: RunConfig) -> dict:
     """Solve, round cfg.rounds times, evaluate each sample, and assemble a report.
 
-    Per-sample energies use the statevector oracle when the instance fits the
-    simulator and the certified lower bound otherwise; the report records which.
+    Each round is one hyperplane cut on the n x n singles Gram G that
+    extraction reads from the solution.  Per-sample energies use the
+    statevector oracle when the instance fits the simulator and the certified
+    lower bound otherwise; the report records which.
     A solve or extraction failure yields a report with status "solver_failure",
     the failing stage ("sdp" or "extract") and the residuals.
     """
@@ -147,7 +149,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "index": best_idx,
         "seed": seeds[best_idx],
         "z": best_assign.z_string(),
-        "a": best_assign.a,
         "energy": float(energies[best_idx]),
     }
 

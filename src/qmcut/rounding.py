@@ -1,8 +1,9 @@
 """Hyperplane rounding and circuit construction from an extracted vector solution.
 
-A sample draws a Pauli axis a and a random direction r, cuts the graph by the
-signs of v_{i,a} . r, then entangles the resulting bit string with commuting
-two-qubit rotations whose angles come from the per-edge overlap gamma_ij.
+A sample cuts the graph by one random hyperplane on the singles Gram G
+(Goemans-Williamson rounding: the signs of F g with F F^T = G and g standard
+normal), then entangles the resulting bit string with commuting two-qubit
+rotations whose angles come from the per-edge overlap gamma_ij.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ PAULI_FOR_BIT = {1: "X", 0: "Y"}
 
 @dataclass(frozen=True)
 class Assignment:
-    a: int                  # Pauli axis used for the hyperplane cut
     z: tuple[int, ...]      # one bit per vertex
     r_seed: int
 
@@ -85,43 +85,18 @@ def sample_seeds(master_seed: int, count: int) -> list[int]:
 def sample_assignment(vs: VectorSolution, seed: int) -> Assignment:
     """One hyperplane-rounding sample, deterministic in the seed.
 
-    The direction is drawn as independent standard normals; only the sign of
+    The direction is drawn as n independent standard normals; only the sign of
     each inner product matters, so the normalization is skipped.  An exact
     zero inner product counts as positive.
     """
-    rng = np.random.default_rng(seed)
-    a = int(rng.integers(1, 4))
-    r = rng.standard_normal(vs.dim)
-    dots = vs.singles(a) @ r
-    z = tuple(int(d >= 0.0) for d in dots)
-    return Assignment(a=a, z=z, r_seed=seed)
+    r = np.random.default_rng(seed).standard_normal(len(vs.F))
+    z = tuple(int(d >= 0.0) for d in vs.F @ r)
+    return Assignment(z=z, r_seed=seed)
 
 
 def compute_gammas(vs: VectorSolution, g: Graph) -> dict[tuple[int, int], float]:
-    """gamma_ij = -(1 + v_ij . v0)/2 for every edge, cross-checked against the
-    normalized-inner-product form -(v0+v_ij).v0 / (||v0+v_ij|| ||v0||).
-
-    The two forms agree because ||v0 + v_ij|| = 2 on valid solutions; drift
-    beyond tolerance means the extraction is corrupt and is rejected.
-    """
-    tol = 10.0 * vs.eps_extract
-    v0 = vs.v_unit
-    out: dict[tuple[int, int], float] = {}
-    for i, j, _ in g.edges:
-        vij = vs.pair_sum(i, j)
-        shifted = v0 + vij
-        norm = float(np.linalg.norm(shifted))
-        if abs(norm - 2.0) > tol:
-            raise ValueError(
-                f"corrupt solution: ||v0 + v_{{{i}{j}}}|| = {norm:.9f} deviates from 2")
-        direct = -(1.0 + float(vij @ v0)) / 2.0
-        normalized = -float(shifted @ v0) / (norm * float(np.linalg.norm(v0)))
-        if abs(direct - normalized) > tol:
-            raise ValueError(
-                f"corrupt solution: gamma forms disagree on edge ({i},{j}) "
-                f"({direct:.9f} vs {normalized:.9f})")
-        out[(i, j)] = direct
-    return out
+    """gamma_ij = -(1 + v_ij . v0)/2 = -(1 + 3 G_ij)/2 for every edge."""
+    return {(i, j): -(1.0 + vs.pair_sum_dot_unit(i, j)) / 2.0 for i, j, _ in g.edges}
 
 
 def check_alpha0(alpha0: float) -> None:
@@ -160,9 +135,8 @@ def build_circuit(assign: Assignment, params: EdgeParameters, g: Graph) -> Circu
 
 
 def outcome_json_dict(assign: Assignment, params: EdgeParameters) -> dict:
-    """Serializable rounding outcome: axis, bits, per-edge gamma/theta, seed."""
+    """Serializable rounding outcome: bits, per-edge gamma/theta, seed."""
     return {
-        "a": assign.a,
         "z": assign.z_string(),
         "gamma": {f"{i}-{j}": v for (i, j), v in sorted(params.gamma.items())},
         "theta": {f"{i}-{j}": v for (i, j), v in sorted(params.theta.items())},

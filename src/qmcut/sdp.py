@@ -4,7 +4,8 @@ The relaxation optimizes over a single Gram matrix M indexed by operator labels
 Unit, Single(i, a), Pair({i,j}, a) with a in {1,2,3} standing for the Pauli
 letters X, Y, Z.  The objective and all constraints are linear in M, M is PSD,
 and feasible solutions correspond to vector tuples (v0, v_{i,a}, v_{ij,a}) via
-any Gram factorization.
+any Gram factorization.  Rounding needs only the n x n singles Gram, which
+extraction reads from the pair-unit column of M and factors.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
 CHECK_EVERY = 25
 ADAPT_EVERY = 100
 POLISH_ITERATIONS = 500
-EPS_EXTRACT = 1e-6          # max |V V^T - M| accepted by extract_vectors
+EPS_EXTRACT = 1e-6          # max |F F^T - G| accepted by extract_vectors
 
 
 @dataclass(frozen=True)
@@ -224,9 +225,10 @@ class SolverConfig:
     """Tolerances and iteration cap for the splitting solver.
 
     The contract is what matters: the returned matrix is PSD to eps_psd,
-    satisfies every equality to eps_feas, and extraction reproduces it to
-    EPS_EXTRACT.  The step parameters are the module constants RHO,
-    OVER_RELAXATION, STOP_TOL, CHECK_EVERY, ADAPT_EVERY and POLISH_ITERATIONS.
+    satisfies every equality to eps_feas, and the singles Gram that extraction
+    reads from it is PSD to eps_psd and factors to EPS_EXTRACT.  The step
+    parameters are the module constants RHO, OVER_RELAXATION, STOP_TOL,
+    CHECK_EVERY, ADAPT_EVERY and POLISH_ITERATIONS.
     """
 
     eps_feas: float = 1e-6
@@ -389,69 +391,42 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
 
 @dataclass(frozen=True)
 class VectorSolution:
-    """Unit vectors realizing the Gram matrix; one row per index label.
+    """The n x n singles Gram G and a factor F with F F^T = G.
 
-    The embedding dimension equals the Gram size (full eigenbasis).  Rows are
-    renormalized to exactly unit length after extraction.
+    G_ii = 1 and G_ij = (1/3) sum_a v_{ij,a} . v0, so v_ij . v0 = 3 G_ij.  By
+    pair_link, G is the average of the three per-axis singles blocks of M, and
+    row i of F is a vector for vertex i.
     """
 
-    index: GramIndex
-    vectors: np.ndarray
-    dim: int
-    residuals: Residuals
+    G: np.ndarray
+    F: np.ndarray
     extraction_error: float
-    eps_extract: float
-
-    @property
-    def v_unit(self) -> np.ndarray:
-        return self.vectors[0]
-
-    def v_single(self, i: int, a: int) -> np.ndarray:
-        return self.vectors[self.index.single_row(i, a)]
-
-    def pair_sum(self, i: int, j: int) -> np.ndarray:
-        """v_{ij} = v_{ij,1} + v_{ij,2} + v_{ij,3}."""
-        r = self.index.pair_row(i, j, 1)
-        return self.vectors[r] + self.vectors[r + 1] + self.vectors[r + 2]
 
     def pair_sum_dot_unit(self, i: int, j: int) -> float:
-        return float(self.pair_sum(i, j) @ self.v_unit)
-
-    def singles(self, a: int) -> np.ndarray:
-        """Matrix whose row i is v_{i,a}."""
-        rows = [self.index.single_row(i, a) for i in range(self.index.n)]
-        return self.vectors[rows]
+        """v_ij . v0 with v_ij = v_{ij,1} + v_{ij,2} + v_{ij,3}."""
+        return 3.0 * float(self.G[i, j])
 
 
 def extract_vectors(sol: GramSolution, cfg: SolverConfig | None = None) -> VectorSolution:
-    """Factor M = V V^T by symmetric eigendecomposition and renormalize rows.
+    """Build G from the pair-unit column of M and factor it by eigendecomposition.
 
     Eigenvalues in [-eps_psd, 0) are clamped to zero; anything below -eps_psd
     means the solution is not PSD to tolerance and is rejected.
     """
     cfg = cfg or SolverConfig()
-    w, Q = np.linalg.eigh(sol.M)
+    index = sol.index
+    G = np.eye(index.n)
+    for i, j in index.pairs:
+        r = index.pair_row(i, j, 1)
+        G[i, j] = G[j, i] = sol.M[r:r + 3, 0].sum() / 3.0
+    w, Q = np.linalg.eigh(G)
     if w[0] < -cfg.eps_psd:
         raise SolverError(f"solution is not PSD to tolerance (min eigenvalue {w[0]:.3e})",
                           sol.residuals)
     np.clip(w, 0.0, None, out=w)
-    V = Q * np.sqrt(w)
-    extraction_error = float(np.abs(V @ V.T - sol.M).max())
+    F = Q * np.sqrt(w)
+    extraction_error = float(np.abs(F @ F.T - G).max())
     if extraction_error > EPS_EXTRACT:
         raise SolverError(f"dot-product reconstruction error {extraction_error:.3e} "
                           f"exceeds eps_extract", sol.residuals)
-    V = V / np.linalg.norm(V, axis=1)[:, None]
-    return VectorSolution(
-        index=sol.index,
-        vectors=V,
-        dim=V.shape[1],
-        residuals=sol.residuals,
-        extraction_error=extraction_error,
-        eps_extract=EPS_EXTRACT,
-    )
-
-
-def objective_value(model: SdpModel, vs: VectorSolution) -> float:
-    """Recompute sum_e (w/4) (v0 - v_ij) . v0 from the extracted vectors."""
-    return float(sum(w / 4.0 * (1.0 - vs.pair_sum_dot_unit(i, j))
-                     for i, j, w in model.graph.edges))
+    return VectorSolution(G=G, F=F, extraction_error=extraction_error)

@@ -10,7 +10,7 @@ import numpy as np
 
 from qmcut import Graph
 from qmcut.oracle import StateVector
-from qmcut.sdp import Residuals, VectorSolution, build_index
+from qmcut.sdp import GramSolution, VectorSolution
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -62,42 +62,27 @@ def diamond_graph() -> Graph:
                                 (1, 2, 1.0), (1, 3, 1.0)])
 
 
-def synthetic_solution(singles: np.ndarray,
-                       pair_rows: dict[tuple[int, int], np.ndarray] | None = None,
-                       eps_extract: float = 1e-6) -> VectorSolution:
-    """VectorSolution with prescribed vectors, for exercising rounding in isolation.
+def synthetic_solution(vectors: np.ndarray) -> VectorSolution:
+    """VectorSolution whose n x n factor F is the given rows, for exercising
+    rounding in isolation: row i is vertex i's vector and G = F F^T."""
+    n, dim = vectors.shape
+    assert n == dim
+    return VectorSolution(G=vectors @ vectors.T, F=vectors, extraction_error=0.0)
 
-    singles has shape (n, 3, dim) with singles[i, a-1] = v_{i,a}; the unit
-    vector is the first basis vector.  pair_rows optionally prescribes the
-    three v_{ij,a} rows per pair; unset pairs default to the unit vector.
-    """
-    n, three, dim = singles.shape
-    assert three == 3
-    index = build_index(n)
-    vectors = np.zeros((index.size, dim))
-    vectors[0, 0] = 1.0
-    for i in range(n):
+
+def random_unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    rows = rng.standard_normal((n, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
+
+
+def pair_sum_gram(gram: GramSolution) -> np.ndarray:
+    """Gram matrix of (v0, v_ij for i < j in index.pairs order) with
+    v_ij = v_{ij,1} + v_{ij,2} + v_{ij,3}, read from M."""
+    index = gram.index
+    S = np.zeros((1 + len(index.pairs), index.size))
+    S[0, 0] = 1.0
+    for k, (i, j) in enumerate(index.pairs, start=1):
         for a in (1, 2, 3):
-            vectors[index.single_row(i, a)] = singles[i, a - 1]
-    for i, j in index.pairs:
-        rows = None if pair_rows is None else pair_rows.get((i, j))
-        for a in (1, 2, 3):
-            if rows is None:
-                vectors[index.pair_row(i, j, a)] = vectors[0]
-            else:
-                vectors[index.pair_row(i, j, a)] = rows[a - 1]
-    return VectorSolution(
-        index=index,
-        vectors=vectors,
-        dim=dim,
-        residuals=Residuals(max_constraint=0.0, min_eigenvalue=0.0, iterations=0,
-                            converged=True),
-        extraction_error=0.0,
-        eps_extract=eps_extract,
-    )
-
-
-def random_unit_singles(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    singles = rng.standard_normal((n, 3, dim))
-    singles /= np.linalg.norm(singles, axis=2, keepdims=True)
-    return singles
+            S[k, index.pair_row(i, j, a)] = 1.0
+    return S @ gram.M @ S.T

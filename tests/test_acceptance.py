@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from conftest import BENCH_NAMES, bench_graph
-from helpers import diamond_graph, haar_state, random_graph
+from helpers import diamond_graph, haar_state, pair_sum_gram, random_graph
 from qmcut import (
     alpha_gw,
     build_model,
@@ -30,7 +30,7 @@ from qmcut.cli import RunConfig, report_to_json, run_pipeline
 from qmcut.energy import edge_energy_exact, edge_pauli_terms
 from qmcut.oracle import exact_opt, pauli_pair_expectations, simulate
 from qmcut.rounding import Assignment, EdgeParameters, build_circuit
-from qmcut.sdp import constraint_operator
+from qmcut.sdp import EPS_EXTRACT, constraint_operator
 
 MASTER_SEED = 20260810
 PIPELINE_ROUNDS = 2000
@@ -116,21 +116,20 @@ def test_criterion_2_relaxation_oracle():
 def test_criterion_3_pair_sum_identities(solved):
     t0 = time.perf_counter()
     failures = []
+    tol = 10.0 * EPS_EXTRACT
     for name in BENCH_NAMES:
         inst = solved(name)
-        vs = inst.vectors
-        tol = 10.0 * vs.eps_extract
+        # h[0, 0] = ||v0||^2, h[0, k] = v_ij . v0, h[k, l] = v_ij . v_kl, read from M
+        h = pair_sum_gram(inst.gram)
+        row = {p: k for k, p in enumerate(inst.gram.index.pairs, start=1)}
         worst = 0.0
-        v0 = vs.v_unit
-        for i, j in vs.index.pairs:
-            vij = vs.pair_sum(i, j)
-            s = vs.pair_sum_dot_unit(i, j)
-            worst = max(worst, abs(float(vij @ vij) - (3.0 - 2.0 * s)))
-            shifted = v0 + vij
-            worst = max(worst, abs(float(shifted @ shifted) - 4.0))
+        for k in row.values():
+            s = h[0, k]
+            worst = max(worst, abs(h[k, k] - (3.0 - 2.0 * s)))
+            worst = max(worst, abs(h[0, 0] + 2.0 * s + h[k, k] - 4.0))
         for i, j, k in combinations(range(inst.graph.n), 3):
-            lhs = float(vs.pair_sum(i, j) @ vs.pair_sum(j, k))
-            worst = max(worst, abs(lhs - vs.pair_sum_dot_unit(i, k)))
+            lhs = h[row[(i, j)], row[(j, k)]]
+            worst = max(worst, abs(lhs - h[0, row[(i, k)]]))
         if worst > tol:
             failures.append(f"{name}: identity residual {worst:.2e} > {tol:.0e}")
     _finish("criterion 3", "pair-sum identities", failures, time.perf_counter() - t0, 600.0)
@@ -142,7 +141,7 @@ def test_criterion_4_monogamy(solved):
     for name in BENCH_NAMES:
         inst = solved(name)
         audit = monogamy_audit(inst.vectors, inst.graph)
-        tol = 10.0 * inst.vectors.eps_extract
+        tol = 10.0 * EPS_EXTRACT
         if audit.margin < -tol:
             failures.append(f"{name}: worst slack {audit.margin:.2e} < -{tol:.0e}")
     k2 = solved("K2")
@@ -173,7 +172,7 @@ def test_criterion_5_energy_closed_form():
             continue
         theta = {(i, j): float(rng.uniform(0.0, math.pi / 4)) for i, j, _ in g.edges}
         params = EdgeParameters(gamma=dict.fromkeys(theta, 0.0), theta=theta, alpha0=0.041)
-        assign = Assignment(a=1, z=z, r_seed=0)
+        assign = Assignment(z=z, r_seed=0)
         psi = simulate(build_circuit(assign, params, g))
         for i, j, _ in g.edges:
             if z[i] == z[j]:

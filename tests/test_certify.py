@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_unit_singles, synthetic_solution
+from helpers import random_unit_rows, synthetic_solution
 from qmcut import (
     Graph,
     alpha_gw,
@@ -128,13 +128,10 @@ def test_monogamy_audit_isolated_vertex():
 
 def test_cut_probability_audit_antipodal_synthetic():
     rng = np.random.default_rng(1)
-    dim = 6
-    singles = random_unit_singles(rng, 2, dim)
-    singles[1] = -singles[0]
-    unit = np.zeros(dim)
-    unit[0] = 1.0
-    # v_ij = -3 v0 keeps the gamma cross-check happy and gives gamma = 1
-    vs = synthetic_solution(singles, pair_rows={(0, 1): np.array([-unit] * 3)})
+    rows = random_unit_rows(rng, 2)
+    rows[1] = -rows[0]
+    # G_01 = -1 gives gamma = 1
+    vs = synthetic_solution(rows)
     g = Graph.from_edges(2, [(0, 1, 1.0)])
     audit = cut_probability_audit(vs, g, samples=20_000, seed=3)
     row = audit.rows[0]

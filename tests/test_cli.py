@@ -17,13 +17,14 @@ def test_pipeline_writes_versioned_report(tmp_path):
                 "--seed", "7", "--deterministic", "--out", str(out)])
     assert code == EXIT_OK
     report = json.loads(out.read_text())
-    assert report["schema"] == "qmc-report/1"
+    assert report["schema"] == "qmc-report/2"
     assert report["status"] == "ok"
     assert report["sdp"]["objective"] == pytest.approx(1.0, abs=1e-5)
     assert report["opt"]["value"] == pytest.approx(1.0, abs=1e-9)
     assert report["samples"]["count"] == 50
     assert len(report["samples"]["seeds"]) == 50
     assert report["best"]["energy"] <= report["opt"]["value"] + 1e-6
+    assert set(report["best"]) == {"index", "seed", "z", "energy"}
     assert report["timings"] is None
 
 
@@ -57,7 +58,7 @@ def test_solve_dump_model(tmp_path):
 def test_round_outputs_outcome(tmp_path, capsys):
     assert run(["round", "--generate", "complete:n=2", "--seed", "5"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"a", "z", "gamma", "theta", "alpha0", "seed"}
+    assert set(payload) == {"z", "gamma", "theta", "alpha0", "seed"}
     assert payload["seed"] == 5
     assert sorted(payload["z"]) == ["0", "1"]  # K2 optimum always cuts
 

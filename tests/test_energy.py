@@ -29,7 +29,7 @@ def random_params(g: Graph, rng) -> EdgeParameters:
 def test_isolated_edge_singlet():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): math.pi / 4})
-    assign = Assignment(a=1, z=(0, 1), r_seed=0)
+    assign = Assignment(z=(0, 1), r_seed=0)
     assert edge_energy_exact(params, assign, g, (0, 1)) == pytest.approx(4.0, abs=1e-12)
     psi = simulate(build_circuit(assign, params, g))
     assert expectation(psi, g) == pytest.approx(1.0, abs=1e-12)
@@ -38,7 +38,7 @@ def test_isolated_edge_singlet():
 def test_isolated_edge_zero_angle():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.0})
-    assign = Assignment(a=1, z=(0, 1), r_seed=0)
+    assign = Assignment(z=(0, 1), r_seed=0)
     assert edge_energy_exact(params, assign, g, (0, 1)) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -46,7 +46,7 @@ def test_star_edge_formula_against_oracle():
     # center 0 with leaves 1, 2; z = (0, 1, 0); edge (0, 1) is cut
     g = generate("star", {"d": 2})
     rng = np.random.default_rng(1)
-    assign = Assignment(a=1, z=(0, 1, 0), r_seed=0)
+    assign = Assignment(z=(0, 1, 0), r_seed=0)
     for _ in range(100):
         params = random_params(g, rng)
         t01 = params.theta[(0, 1)]
@@ -65,7 +65,7 @@ def test_diamond_even_subset_against_oracle():
     for _ in range(50):
         params = random_params(g, rng)
         z = (0, 1) + tuple(int(b) for b in rng.integers(0, 2, 2))
-        assign = Assignment(a=1, z=z, r_seed=0)
+        assign = Assignment(z=z, r_seed=0)
         psi = simulate(build_circuit(assign, params, g))
         xx, yy, zz = pauli_pair_expectations(psi, 0, 1)
         got = edge_energy_exact(params, assign, g, (0, 1))
@@ -82,7 +82,7 @@ def test_pauli_term_identities_against_oracle():
             continue
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(a=1, z=z, r_seed=0)
+        assign = Assignment(z=z, r_seed=0)
         psi = simulate(build_circuit(assign, params, g))
         for i, j, _ in g.edges:
             if z[i] == z[j]:
@@ -108,13 +108,13 @@ def test_exact_rejects_uncut_edge():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.2})
     with pytest.raises(ValueError, match="not cut"):
-        edge_energy_exact(params, Assignment(a=1, z=(1, 1), r_seed=0), g, (0, 1))
+        edge_energy_exact(params, Assignment(z=(1, 1), r_seed=0), g, (0, 1))
 
 
 def test_bound_uncut_edge_is_zero():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.2})
-    assert edge_energy_bound(params, Assignment(a=1, z=(0, 0), r_seed=0), g, (0, 1)) == 0.0
+    assert edge_energy_bound(params, Assignment(z=(0, 0), r_seed=0), g, (0, 1)) == 0.0
 
 
 def test_bound_with_idle_neighbors():
@@ -122,7 +122,7 @@ def test_bound_with_idle_neighbors():
     g = generate("star", {"d": 3})
     thetas = {(0, 1): 0.3, (0, 2): 0.0, (0, 3): 0.0}
     params = params_for(g, thetas)
-    assign = Assignment(a=1, z=(0, 1, 0, 1), r_seed=0)
+    assign = Assignment(z=(0, 1, 0, 1), r_seed=0)
     want = 2 + 2 * math.sin(0.6)
     assert edge_energy_bound(params, assign, g, (0, 1)) == pytest.approx(want, abs=1e-12)
 
@@ -130,7 +130,7 @@ def test_bound_with_idle_neighbors():
 def test_bound_rejects_negative_theta():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): -0.1})
-    assign = Assignment(a=1, z=(0, 1), r_seed=0)
+    assign = Assignment(z=(0, 1), r_seed=0)
     with pytest.raises(ValueError, match="theta"):
         edge_energy_bound(params, assign, g, (0, 1))
     with pytest.raises(ValueError, match="theta"):
@@ -144,7 +144,7 @@ def test_bound_never_exceeds_exact():
         g = random_graph(rng, n, p=0.6)
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(a=1, z=z, r_seed=0)
+        assign = Assignment(z=z, r_seed=0)
         for i, j, _ in g.edges:
             if z[i] != z[j]:
                 bound = edge_energy_bound(params, assign, g, (i, j))
@@ -157,7 +157,7 @@ def test_totals_zero_angles_give_half_cut_value():
     g = random_graph(rng, 6, p=0.7)
     params = params_for(g, {(i, j): 0.0 for i, j, _ in g.edges})
     z = tuple(int(b) for b in rng.integers(0, 2, 6))
-    assign = Assignment(a=1, z=z, r_seed=0)
+    assign = Assignment(z=z, r_seed=0)
     report = total_energy(params, assign, g)
     assert report.bound_total == pytest.approx(classical_energy(g, z), abs=1e-12)
 
@@ -165,7 +165,7 @@ def test_totals_zero_angles_give_half_cut_value():
 def test_totals_empty_graph():
     g = Graph(n=3, edges=())
     params = EdgeParameters(gamma={}, theta={}, alpha0=0.041)
-    report = total_energy(params, Assignment(a=1, z=(0, 1, 0), r_seed=0), g)
+    report = total_energy(params, Assignment(z=(0, 1, 0), r_seed=0), g)
     assert report.bound_total == 0.0
     assert report.exact_total == 0.0
     assert report.uncut_edges == ()
@@ -178,7 +178,7 @@ def test_exact_where_cut_is_lower_bound_on_state_energy():
         g = random_graph(rng, n, p=0.5)
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(a=1, z=z, r_seed=0)
+        assign = Assignment(z=z, r_seed=0)
         report = total_energy(params, assign, g)
         psi = simulate(build_circuit(assign, params, g))
         assert report.exact_total <= expectation(psi, g) + 1e-9
@@ -197,7 +197,7 @@ def test_total_energy_rows_equal_per_edge_functions():
         g = random_graph(rng, n, p=0.6)
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(a=1, z=z, r_seed=0)
+        assign = Assignment(z=z, r_seed=0)
         report = total_energy(params, assign, g)
         for row in report.edges:
             assert row.bound == edge_energy_bound(params, assign, g, row.edge)
@@ -211,7 +211,7 @@ def test_gate_order_independence():
     rng = np.random.default_rng(7)
     g = diamond_graph()
     params = random_params(g, rng)
-    assign = Assignment(a=1, z=(0, 1, 1, 0), r_seed=0)
+    assign = Assignment(z=(0, 1, 1, 0), r_seed=0)
     circ = build_circuit(assign, params, g)
     base = expectation(simulate(circ), g)
     for _ in range(5):
@@ -224,7 +224,7 @@ def test_gate_order_independence():
 def test_report_serialization():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.1})
-    report = total_energy(params, Assignment(a=1, z=(0, 1), r_seed=0), g)
+    report = total_energy(params, Assignment(z=(0, 1), r_seed=0), g)
     payload = report.to_json_dict()
     assert payload["mode"] == "exact_where_cut"
     assert payload["edges"][0]["edge"] == "0-1"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unit_singles, synthetic_solution
+from conftest import BENCH_NAMES
+from helpers import random_unit_rows, synthetic_solution
 from qmcut import (
     build_circuit,
     compute_gammas,
@@ -19,7 +20,7 @@ from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, outcome_json_dict, sa
 
 def test_sample_assignment_deterministic():
     rng = np.random.default_rng(1)
-    vs = synthetic_solution(random_unit_singles(rng, 4, 6))
+    vs = synthetic_solution(random_unit_rows(rng, 4))
     a = sample_assignment(vs, 42)
     b = sample_assignment(vs, 42)
     assert a == b
@@ -34,9 +35,9 @@ def test_sample_seeds_prefix_stable(master, k, m):
 
 def test_sample_assignment_identical_vectors_never_split():
     rng = np.random.default_rng(2)
-    singles = random_unit_singles(rng, 3, 5)
-    singles[1] = singles[0]
-    vs = synthetic_solution(singles)
+    rows = random_unit_rows(rng, 3)
+    rows[1] = rows[0]
+    vs = synthetic_solution(rows)
     for seed in range(200):
         z = sample_assignment(vs, seed).z
         assert z[0] == z[1]
@@ -44,9 +45,9 @@ def test_sample_assignment_identical_vectors_never_split():
 
 def test_sample_assignment_antipodal_vectors_always_split():
     rng = np.random.default_rng(3)
-    singles = random_unit_singles(rng, 3, 5)
-    singles[1] = -singles[0]
-    vs = synthetic_solution(singles)
+    rows = random_unit_rows(rng, 3)
+    rows[1] = -rows[0]
+    vs = synthetic_solution(rows)
     for seed in range(200):
         z = sample_assignment(vs, seed).z
         assert z[0] != z[1]
@@ -54,7 +55,7 @@ def test_sample_assignment_antipodal_vectors_always_split():
 
 def test_sample_assignment_marginals_uniform():
     rng = np.random.default_rng(4)
-    vs = synthetic_solution(random_unit_singles(rng, 5, 8))
+    vs = synthetic_solution(random_unit_rows(rng, 5))
     samples = 20_000
     counts = np.zeros(5)
     for seed in range(samples):
@@ -64,50 +65,50 @@ def test_sample_assignment_marginals_uniform():
     assert np.all(np.abs(freq - 0.5) <= margin)
 
 
-def test_cut_frequency_matches_sphere_formula():
-    # Pr[z_i != z_j] = (1/3) sum_a arccos(v_{i,a} . v_{j,a}) / pi
-    rng = np.random.default_rng(5)
-    n, dim = 4, 7
-    vs = synthetic_solution(random_unit_singles(rng, n, dim))
-    singles = np.stack([vs.singles(a) for a in (1, 2, 3)])
-    samples = 100_000
-    counts = np.zeros((n, n))
-    done = 0
-    gen = np.random.default_rng(99)
-    while done < samples:
-        size = min(20_000, samples - done)
-        axes = gen.integers(0, 3, size=size)
-        r = gen.standard_normal((size, dim))
-        bits = np.empty((size, n), dtype=bool)
-        for av in range(3):
-            mask = axes == av
-            bits[mask] = (r[mask] @ singles[av].T) >= 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                counts[i, j] += np.count_nonzero(bits[:, i] ^ bits[:, j])
-        done += size
+def _assert_cut_frequencies_match_gram(vs, samples: int) -> None:
+    # Pr[z_i != z_j] = arccos(G_ij) / pi over seeds 0..samples-1, within 5 sigma
+    z = np.array([sample_assignment(vs, seed).z for seed in range(samples)])
+    freq = (z[:, :, None] != z[:, None, :]).mean(axis=0)
+    n = len(vs.G)
     for i in range(n):
         for j in range(i + 1, n):
-            want = sum(
-                math.acos(float(np.clip(vs.v_single(i, a) @ vs.v_single(j, a), -1, 1))) / math.pi
-                for a in (1, 2, 3)) / 3.0
-            assert counts[i, j] / samples == pytest.approx(want, abs=0.01)
+            want = math.acos(float(np.clip(vs.G[i, j], -1.0, 1.0))) / math.pi
+            sigma = math.sqrt(want * (1.0 - want) / samples)
+            assert abs(freq[i, j] - want) <= 5.0 * sigma, (i, j, freq[i, j], want)
 
 
-def _solution_with_pair_rows(rows01):
-    rng = np.random.default_rng(6)
-    dim = 6
-    singles = random_unit_singles(rng, 2, dim)
-    unit = np.zeros(dim)
-    unit[0] = 1.0
-    e2 = np.zeros(dim)
-    e2[2] = 1.0
-    table = {
-        "gamma_one": np.array([-unit, -unit, -unit]),       # v_ij = -3 v0
-        "gamma_minus_one": np.array([unit, e2, -e2]),       # v_ij = v0
-        "gamma_zero": np.array([-unit, e2, e2]),            # v_ij . v0 = -1
-    }
-    return synthetic_solution(singles, pair_rows={(0, 1): table[rows01]})
+def test_cut_frequency_matches_sphere_formula():
+    rng = np.random.default_rng(5)
+    _assert_cut_frequencies_match_gram(synthetic_solution(random_unit_rows(rng, 4)), 20_000)
+
+
+def test_singles_gram_cut_equals_axis_mixture(solved):
+    # One cut on G has the cut probability of the axis draw over the three
+    # per-axis singles blocks of M: arccos(G_ij)/pi = (1/3) sum_a arccos(M_a[i, j])/pi
+    for name in BENCH_NAMES:
+        inst = solved(name)
+        M, index = inst.gram.M, inst.gram.index
+        for i, j in index.pairs:
+            mixture = sum(
+                math.acos(float(np.clip(M[index.single_row(i, a), index.single_row(j, a)],
+                                        -1.0, 1.0)))
+                for a in (1, 2, 3)) / (3.0 * math.pi)
+            single = math.acos(float(np.clip(inst.vectors.G[i, j], -1.0, 1.0))) / math.pi
+            assert abs(single - mixture) <= 1e-9, (name, i, j, single, mixture)
+
+
+def test_sample_assignment_cut_frequency_on_solutions(solved):
+    for name in ("C5", "ER8c"):
+        _assert_cut_frequencies_match_gram(solved(name).vectors, 20_000)
+
+
+def _solution_with_overlap(name: str):
+    g01 = {
+        "gamma_one": -1.0,              # v_ij . v0 = -3
+        "gamma_minus_one": 1.0 / 3.0,   # v_ij . v0 = 1
+        "gamma_zero": -1.0 / 3.0,       # v_ij . v0 = -1
+    }[name]
+    return synthetic_solution(np.array([[1.0, 0.0], [g01, math.sqrt(1.0 - g01 * g01)]]))
 
 
 @pytest.mark.parametrize("rows,expected", [
@@ -116,18 +117,9 @@ def _solution_with_pair_rows(rows01):
     ("gamma_zero", 0.0),
 ])
 def test_compute_gammas_values(rows, expected):
-    vs = _solution_with_pair_rows(rows)
+    vs = _solution_with_overlap(rows)
     g = generate("complete", {"n": 2})
     assert compute_gammas(vs, g)[(0, 1)] == pytest.approx(expected, abs=1e-12)
-
-
-def test_compute_gammas_rejects_corrupt_solution():
-    rng = np.random.default_rng(7)
-    singles = random_unit_singles(rng, 2, 6)
-    zeros = np.zeros((3, 6))
-    vs = synthetic_solution(singles, pair_rows={(0, 1): zeros})
-    with pytest.raises(ValueError, match="corrupt"):
-        compute_gammas(vs, generate("complete", {"n": 2}))
 
 
 def test_theta_map_frozen_values():
@@ -195,9 +187,9 @@ def test_build_circuit_pauli_letters():
     from qmcut.rounding import Assignment
     g = generate("complete", {"n": 2})
     params = _k2_params()
-    circ = build_circuit(Assignment(a=1, z=(0, 1), r_seed=0), params, g)
+    circ = build_circuit(Assignment(z=(0, 1), r_seed=0), params, g)
     assert circ.gates[0].paulis == ("Y", "X")
-    circ = build_circuit(Assignment(a=1, z=(1, 1), r_seed=0), params, g)
+    circ = build_circuit(Assignment(z=(1, 1), r_seed=0), params, g)
     assert circ.gates[0].paulis == ("X", "X")
 
 
@@ -208,7 +200,7 @@ def test_build_circuit_zero_angles_fixes_bit_string():
     theta = {e: 0.0 for e in gamma}
     params = EdgeParameters(gamma=gamma, theta=theta, alpha0=0.041)
     z = (1, 0, 1, 0)
-    psi = simulate(build_circuit(Assignment(a=2, z=z, r_seed=0), params, g))
+    psi = simulate(build_circuit(Assignment(z=z, r_seed=0), params, g))
     assert abs(psi.amplitudes[sum(b << i for i, b in enumerate(z))]) == pytest.approx(1.0)
 
 
@@ -217,7 +209,7 @@ def test_build_circuit_missing_parameter():
     g = generate("path", {"n": 3})
     params = _k2_params()  # only covers edge (0, 1)
     with pytest.raises(ValueError, match="missing"):
-        build_circuit(Assignment(a=1, z=(0, 1, 0), r_seed=0), params, g)
+        build_circuit(Assignment(z=(0, 1, 0), r_seed=0), params, g)
 
 
 def test_build_circuit_gates_commute_structurally(solved):
@@ -246,11 +238,11 @@ def test_cut_bound_on_k2_solution(solved):
 
 def test_outcome_serialization():
     rng = np.random.default_rng(8)
-    vs = synthetic_solution(random_unit_singles(rng, 2, 5))
+    vs = synthetic_solution(random_unit_rows(rng, 2))
     assign = sample_assignment(vs, 17)
     params = _k2_params()
     payload = outcome_json_dict(assign, params)
-    assert set(payload) == {"a", "z", "gamma", "theta", "alpha0", "seed"}
+    assert set(payload) == {"z", "gamma", "theta", "alpha0", "seed"}
     assert payload["seed"] == 17
     assert payload["z"] == "".join(str(b) for b in assign.z)
     assert payload["gamma"] == {"0-1": 1.0}

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import haar_state, random_graph
+from helpers import haar_state, pair_sum_gram, random_graph
 from qmcut import (
     Graph,
     SolverConfig,
@@ -17,13 +17,12 @@ from qmcut import (
     expectation,
     extract_vectors,
     generate,
-    objective_value,
     solve,
 )
 from qmcut.graph import parse_generator_spec
 from qmcut.oracle import moment_matrix_from_state, simulate
 from qmcut.rounding import Circuit, Gate
-from qmcut.sdp import GramSolution, Residuals, constraint_operator, model_to_json
+from qmcut.sdp import EPS_EXTRACT, GramSolution, Residuals, constraint_operator, model_to_json
 
 
 def expected_constraint_total(n: int) -> int:
@@ -192,19 +191,24 @@ def test_solver_relaxes_every_state(solved):
 
 
 def test_extract_identity_gram():
-    index = build_index(1)
-    m = np.eye(4)
-    sol = GramSolution(index=index, M=m, objective=0.0,
+    # a zero pair-unit column gives G = I
+    index = build_index(3)
+    sol = GramSolution(index=index, M=np.eye(index.size), objective=0.0,
                        residuals=Residuals(0.0, 0.0, 0, True))
     vs = extract_vectors(sol)
-    assert vs.dim == 4
-    assert np.allclose(vs.vectors @ vs.vectors.T, np.eye(4), atol=1e-12)
+    assert np.array_equal(vs.G, np.eye(3))
+    assert vs.F.shape == (3, 3)
+    assert np.allclose(vs.F @ vs.F.T, np.eye(3), atol=1e-12)
 
 
 def test_extract_rejects_negative_eigenvalue():
-    index = build_index(1)
-    m = np.eye(4)
-    m[3, 3] = -1e-6
+    # G_ij = -0.6 on all three pairs: G has the eigenvalue 1 - 2 * 0.6 < 0
+    index = build_index(3)
+    m = np.eye(index.size)
+    for i, j in index.pairs:
+        for a in (1, 2, 3):
+            r = index.pair_row(i, j, a)
+            m[r, 0] = m[0, r] = -0.6
     sol = GramSolution(index=index, M=m, objective=0.0,
                        residuals=Residuals(0.0, -1e-6, 0, True))
     with pytest.raises(SolverError, match="PSD"):
@@ -216,54 +220,46 @@ def test_extract_k2_pair_sum(solved):
     vs = inst.vectors
     assert vs.pair_sum_dot_unit(0, 1) == pytest.approx(-3.0, abs=1e-4)
     assert vs.extraction_error <= 1e-6
-    norms = np.linalg.norm(vs.vectors, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
+    assert np.array_equal(np.diag(vs.G), np.ones(2))
+    assert np.allclose(np.linalg.norm(vs.F, axis=1), 1.0, atol=EPS_EXTRACT)
 
 
 def test_extract_sphere_identity(solved):
-    # ||v0 + v_ij||^2 = 4 for every pair on a valid solution
+    # ||v0 + v_ij||^2 = 4 for every pair on a valid solution, read from M
     for name in ("K2", "K13", "C5"):
-        vs = solved(name).vectors
-        for i, j in vs.index.pairs:
-            shifted = vs.v_unit + vs.pair_sum(i, j)
-            assert float(shifted @ shifted) == pytest.approx(4.0, abs=4e-6)
+        h = pair_sum_gram(solved(name).gram)
+        for k in range(1, len(h)):
+            assert h[0, 0] + 2.0 * h[0, k] + h[k, k] == pytest.approx(4.0, abs=4e-6)
 
 
 def test_pair_sum_identities(solved):
-    # ||v_ij||^2 = 3 - 2 v_ij.v0 and v_ij.v_jk = v_ik.v0, within 10x extraction tol
-    vs = solved("C5").vectors
-    tol = 10 * vs.eps_extract
-    for i, j in vs.index.pairs:
-        vij = vs.pair_sum(i, j)
-        assert abs(float(vij @ vij) - (3.0 - 2.0 * vs.pair_sum_dot_unit(i, j))) <= tol
+    # ||v_ij||^2 = 3 - 2 v_ij.v0 and v_ij.v_jk = v_ik.v0 on M, within 10x extraction tol
+    gram = solved("C5").gram
+    h = pair_sum_gram(gram)
+    row = {p: k for k, p in enumerate(gram.index.pairs, start=1)}
+    tol = 10 * EPS_EXTRACT
+    for k in row.values():
+        assert abs(h[k, k] - (3.0 - 2.0 * h[0, k])) <= tol
     for i, j, k in combinations(range(5), 3):
-        lhs = float(vs.pair_sum(i, j) @ vs.pair_sum(j, k))
-        assert abs(lhs - vs.pair_sum_dot_unit(i, k)) <= tol
+        assert abs(h[row[(i, j)], row[(j, k)]] - h[0, row[(i, k)]]) <= tol
 
 
 def test_pair_sum_dot_unit_range(solved):
     for name in ("K13", "C5", "ER8a"):
-        vs = solved(name).vectors
-        for i, j in vs.index.pairs:
-            s = vs.pair_sum_dot_unit(i, j)
+        inst = solved(name)
+        for i, j in inst.gram.index.pairs:
+            s = inst.vectors.pair_sum_dot_unit(i, j)
             assert -3.0 - 1e-5 <= s <= 1.0 + 1e-5
 
 
 def test_monogamy_over_pair_universe(solved):
     # sum of v_ij.v0 over ANY set of pairs at a vertex is at least -(d+2)
     for name in ("C5", "ER8a"):
-        vs = solved(name).vectors
-        n = vs.index.n
-        for i in range(n):
-            total = sum(vs.pair_sum_dot_unit(i, j) for j in range(n) if j != i)
-            assert total >= -(n - 1) - 2.0 - 1e-5
-
-
-def test_objective_value_matches_gram(solved):
-    for name in ("K2", "K13", "C5"):
         inst = solved(name)
-        assert objective_value(inst.model, inst.vectors) == pytest.approx(
-            inst.gram.objective, abs=1e-6)
+        n = inst.graph.n
+        for i in range(n):
+            total = sum(inst.vectors.pair_sum_dot_unit(i, j) for j in range(n) if j != i)
+            assert total >= -(n - 1) - 2.0 - 1e-5
 
 
 def test_solver_config_validation():
