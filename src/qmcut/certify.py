@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .energy import edge_energy_bound
-from .graph import Graph
+from .graph import Graph, InputError
 from .oracle import DEFAULT_QUBIT_LIMIT, pauli_pair_expectations, simulate
 from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
                        compute_gammas, sample_assignment, sample_seeds)
@@ -187,7 +187,7 @@ def cut_probability_audit(vs: VectorSolution, g: Graph, samples: int = CUT_SAMPL
     for n independent standard normals r.
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InputError("need at least one sample")
     gammas = compute_gammas(vs, g)
     agw = alpha_gw()[0]
     edges = [(i, j) for (i, j) in gammas]
@@ -224,7 +224,7 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     vanishing share are skipped and listed.
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InputError("need at least one sample")
     params = EdgeParameters.from_solution(vs, g, alpha0)
     edges = [(i, j) for i, j, _ in g.edges]
     shares = {(i, j): 1.0 - vs.pair_sum_dot_unit(i, j) for i, j in edges}

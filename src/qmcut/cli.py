@@ -20,7 +20,7 @@ import numpy as np
 
 from . import certify as certify_mod
 from .energy import total_energy
-from .graph import Graph, GraphError, parse_generator_spec, parse_graph
+from .graph import Graph, GraphError, InputError, parse_generator_spec, parse_graph
 from .oracle import DEFAULT_QUBIT_LIMIT, exact_opt, expectation, simulate
 from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, outcome_json_dict,
                        sample_assignment, sample_seeds)
@@ -47,7 +47,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise InputError("rounds must be >= 1")
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -231,11 +231,21 @@ def _load_graph(args) -> tuple[str, Graph]:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"cannot read {path}: {exc}") from None
         fmt = "json" if path.suffix == ".json" else "edge-list"
         return str(path), parse_graph(text, fmt)
     if args.generate:
         return args.generate, parse_generator_spec(args.generate)
     raise GraphError("an instance is required: --input or --generate")
+
+
+def _seed(text: str) -> int:
+    """--seed value: numpy seeds must be nonnegative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _solver_config(args) -> SolverConfig:
@@ -357,7 +367,7 @@ _FLAGS: dict[str, dict] = {
     "--suite": {"required": True,
                 "help": "';'-separated generator specs, e.g. 'complete:n=2;path:n=3'"},
     "--rounds": {"type": int, "default": RunConfig.rounds},
-    "--seed": {"type": int, "default": RunConfig.seed},
+    "--seed": {"type": _seed, "default": RunConfig.seed},
     "--alpha0": {"type": float, "default": ALPHA0_DEFAULT},
     "--samples": {"type": int, "default": certify_mod.CUT_SAMPLES},
     "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
@@ -424,7 +434,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

@@ -20,7 +20,11 @@ Edge = tuple[int, int, float]
 GENERATOR_KINDS = ("complete", "cycle", "star", "path", "erdos_renyi")
 
 
-class GraphError(ValueError):
+class InputError(ValueError):
+    """Bad input or setting: the command-line tool reports it and exits 4."""
+
+
+class GraphError(InputError):
     """Malformed graph data or generator parameters."""
 
     def __init__(self, message: str, line: int | None = None):

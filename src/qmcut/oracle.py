@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, InputError
 from .sdp import GramIndex
 
 DEFAULT_QUBIT_LIMIT = 16
@@ -24,7 +24,7 @@ _PAULI = {
 }
 
 
-class QubitLimitError(ValueError):
+class QubitLimitError(InputError):
     """Instance exceeds the exact-computation qubit limit."""
 
 
@@ -53,8 +53,8 @@ class StateVector:
 @dataclass(frozen=True)
 class SpectrumResult:
     lambda_max: float
-    sector: int       # Hamming weight of the sector achieving lambda_max
-    dimension: int    # dimension of that sector
+    sector: int       # Hamming weight of the diagonalized sector, n // 2
+    dimension: int    # dimension of that sector, C(n, n // 2)
 
 
 def _pair_slices(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -124,32 +124,28 @@ def _sector_basis(n: int, k: int) -> np.ndarray:
 
 
 def exact_opt(g: Graph, limit: int = DEFAULT_QUBIT_LIMIT) -> SpectrumResult:
-    """Largest eigenvalue of H by dense diagonalization within Hamming sectors.
+    """Largest eigenvalue of H by dense diagonalization of the middle Hamming sector.
 
-    H commutes with total Z (each edge term preserves Hamming weight), so the
-    spectrum splits into weight sectors of dimension at most C(n, n//2).
+    Each edge term w (I - XX - YY - ZZ)/4 is w times the singlet projector, so
+    H commutes with total spin.  A spin-S multiplet has a member at every S_z
+    in -S..S, so each has one at S_z = n/2 - n//2 (0 or 1/2), Hamming weight
+    n//2.  That sector, of dimension C(n, n//2), holds the top eigenvalue.
     """
     n = g.n
     if n > limit:
         raise QubitLimitError(f"{n} qubits exceeds the diagonalization limit of {limit}")
-    if n == 0:
-        return SpectrumResult(lambda_max=0.0, sector=0, dimension=1)
-    best = (-np.inf, 0, 0)
-    for k in range(n + 1):
-        basis = _sector_basis(n, k)
-        dim = basis.size
-        h = np.zeros((dim, dim))
-        rows = np.arange(dim)
-        for i, j, w in g.edges:
-            differ = ((basis >> i) & 1) != ((basis >> j) & 1)
-            h[rows[differ], rows[differ]] += w / 2.0
-            flipped = basis[differ] ^ ((1 << i) | (1 << j))
-            cols = np.searchsorted(basis, flipped)
-            h[rows[differ], cols] -= w / 2.0
-        top = float(np.linalg.eigvalsh(h)[-1]) if dim > 1 else float(h[0, 0])
-        if top > best[0] + 1e-12:
-            best = (top, k, dim)
-    return SpectrumResult(lambda_max=best[0], sector=best[1], dimension=best[2])
+    k = n // 2
+    basis = _sector_basis(n, k)
+    dim = basis.size
+    h = np.zeros((dim, dim))
+    rows = np.arange(dim)
+    for i, j, w in g.edges:
+        differ = ((basis >> i) & 1) != ((basis >> j) & 1)
+        h[rows[differ], rows[differ]] += w / 2.0
+        flipped = basis[differ] ^ ((1 << i) | (1 << j))
+        cols = np.searchsorted(basis, flipped)
+        h[rows[differ], cols] -= w / 2.0
+    return SpectrumResult(lambda_max=float(np.linalg.eigvalsh(h)[-1]), sector=k, dimension=dim)
 
 
 def _apply_pauli(amps: np.ndarray, letter: str, qubit: int) -> np.ndarray:
@@ -182,9 +178,6 @@ def moment_matrix_from_state(psi: StateVector, index: GramIndex) -> np.ndarray:
     for row, label in enumerate(index.labels):
         if label[0] == "unit":
             applied[row] = psi.amplitudes
-        elif label[0] == "single":
-            _, i, a = label
-            applied[row] = _apply_pauli(psi.amplitudes, _LETTER_FOR_AXIS[a], i)
         else:
             _, i, j, a = label
             letter = _LETTER_FOR_AXIS[a]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, InputError
 from .sdp import VectorSolution
 
 ALPHA0_DEFAULT = 0.041
@@ -100,9 +100,9 @@ def compute_gammas(vs: VectorSolution, g: Graph) -> dict[tuple[int, int], float]
 
 
 def check_alpha0(alpha0: float) -> None:
-    """Raise ValueError unless alpha0 is finite and nonnegative."""
+    """Raise InputError unless alpha0 is finite and nonnegative."""
     if not 0.0 <= alpha0 < math.inf:
-        raise ValueError(f"alpha0 must be finite and nonnegative, got {alpha0}")
+        raise InputError(f"alpha0 must be finite and nonnegative, got {alpha0}")
 
 
 def theta_map(gamma: float, alpha0: float = ALPHA0_DEFAULT) -> float:

@@ -1,11 +1,12 @@
 """Moment-matrix relaxation: Gram index, model assembly, splitting solver, extraction.
 
-The relaxation optimizes over a single Gram matrix M indexed by operator labels
-Unit, Single(i, a), Pair({i,j}, a) with a in {1,2,3} standing for the Pauli
-letters X, Y, Z.  The objective and all constraints are linear in M, M is PSD,
-and feasible solutions correspond to vector tuples (v0, v_{i,a}, v_{ij,a}) via
-any Gram factorization.  Rounding needs only the n x n singles Gram, which
-extraction reads from the pair-unit column of M and factors.
+The relaxation optimizes over one Gram matrix M indexed by the operator labels
+Unit and Pair({i,j}, a), with a in {1,2,3} standing for the Pauli letters X, Y,
+Z.  The objective and all constraints are linear in M, M is PSD, and feasible
+solutions correspond to vector tuples (v0, v_{ij,a}) via any Gram
+factorization.  Rounding needs only the n x n singles Gram, which extraction
+reads from the pair-unit column of M and factors; build_model shows why that
+Gram is PSD without Single labels in the index.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .graph import Graph
+from .graph import Graph, InputError
 
 Label = tuple
 UNIT: Label = ("unit",)
@@ -28,18 +29,11 @@ AXES = (1, 2, 3)  # 1 <-> X, 2 <-> Y, 3 <-> Z
 
 CONSTRAINT_FAMILIES = (
     "unit_norm",      # ||v0||^2 = 1
-    "single_norm",    # ||v_{i,a}||^2 = 1
-    "single_ortho",   # v_{i,a} . v_{i,b} = 0, a < b
     "pair_norm",      # ||v_{ij,a}||^2 = 1
-    "pair_link",      # v_{i,a} . v_{j,a} = v_{ij,a} . v0
     "triple_link",    # v_{ij,a} . v_{jk,a} = v_{ik,a} . v0
     "cross_zero",     # v_{ij,a} . v_{jk,b} = 0, a != b, shared vertex
     "pair_product",   # v_{ij,a} . v_{ij,b} = -v_{ij,c} . v0, a < b, c remaining
 )
-
-
-def single(i: int, a: int) -> Label:
-    return ("single", i, a)
 
 
 def pair(i: int, j: int, a: int) -> Label:
@@ -52,7 +46,7 @@ def pair(i: int, j: int, a: int) -> Label:
 class GramIndex:
     """Ordered label set for the Gram matrix; Unit is always row 0.
 
-    The size is 1 + 3n + 3*n*(n-1)/2.
+    The size is 1 + 3*n*(n-1)/2.
     """
 
     n: int
@@ -70,21 +64,16 @@ class GramIndex:
     def size(self) -> int:
         return len(self.labels)
 
-    def single_row(self, i: int, a: int) -> int:
-        return self.lookup[single(i, a)]
-
     def pair_row(self, i: int, j: int, a: int) -> int:
         return self.lookup[pair(i, j, a)]
 
 
 def build_index(n: int) -> GramIndex:
-    """Deterministic label ordering: Unit, Singles by (i, a), Pairs by (i, j, a) over all i < j."""
+    """Deterministic label ordering: Unit, then Pairs by (i, j, a) over all i < j."""
     if n < 1:
-        raise ValueError("need at least one vertex")
-    labels: list[Label] = [UNIT]
-    labels.extend(single(i, a) for i in range(n) for a in AXES)
-    labels.extend(pair(i, j, a) for i, j in combinations(range(n), 2) for a in AXES)
-    return GramIndex(n=n, labels=tuple(labels))
+        raise InputError("need at least one vertex")
+    pairs = (pair(i, j, a) for i, j in combinations(range(n), 2) for a in AXES)
+    return GramIndex(n=n, labels=(UNIT, *pairs))
 
 
 @dataclass(frozen=True)
@@ -111,10 +100,21 @@ class SdpModel:
 
 
 def build_model(g: Graph) -> SdpModel:
-    """Assemble the objective and the eight constraint families for a graph.
+    """Assemble the objective and the five constraint families for a graph.
 
     Constraints quantify over all distinct vertex pairs and triples, not only
     edges.
+
+    No Single labels v_{i,a} are needed: the pairs already imply the singles
+    Gram.  Fix a pivot j and an axis a, and take v0 at position j and v_{ij,a}
+    at each i != j.  By unit_norm, pair_norm and triple_link with pivot j,
+    their Gram matrix is G_a, with 1 on the diagonal and M[pair(ik,a), 0] off
+    it, whatever the pivot.  So M PSD gives G_a PSD, and G = (G_1 + G_2 + G_3)/3,
+    the Gram extraction factors, is PSD too.  The relaxation equals the one
+    with Single labels and the families single_norm, single_ortho
+    (v_{i,a} . v_{i,b} = 0) and pair_link (v_{i,a} . v_{j,a} = v_{ij,a} . v0):
+    blockdiag(M, G_1, G_2, G_3) is feasible there with the same objective, and
+    the Unit+Pair block of any feasible matrix there is feasible here.
     """
     n = g.n
     index = build_index(n)
@@ -126,22 +126,10 @@ def build_model(g: Graph) -> SdpModel:
         cons.append(Constraint(entries=canon, rhs=rhs, family=family))
 
     add([(0, 0, 1.0)], 1.0, "unit_norm")
-    for i in range(n):
-        for a in AXES:
-            r = index.single_row(i, a)
-            add([(r, r, 1.0)], 1.0, "single_norm")
-        for a, b in combinations(AXES, 2):
-            add([(index.single_row(i, a), index.single_row(i, b), 1.0)], 0.0, "single_ortho")
-
     for i, j in index.pairs:
         for a in AXES:
             r = index.pair_row(i, j, a)
             add([(r, r, 1.0)], 1.0, "pair_norm")
-            add(
-                [(index.single_row(i, a), index.single_row(j, a), 1.0), (r, 0, -1.0)],
-                0.0,
-                "pair_link",
-            )
         for a, b in combinations(AXES, 2):
             c = 6 - a - b
             add(
@@ -224,11 +212,11 @@ EPS_EXTRACT = 1e-6          # max |F F^T - G| accepted by extract_vectors
 class SolverConfig:
     """Tolerances and iteration cap for the splitting solver.
 
-    The contract is what matters: the returned matrix is PSD to eps_psd,
-    satisfies every equality to eps_feas, and the singles Gram that extraction
-    reads from it is PSD to eps_psd and factors to EPS_EXTRACT.  The step
-    parameters are the module constants RHO, OVER_RELAXATION, STOP_TOL,
-    CHECK_EVERY, ADAPT_EVERY and POLISH_ITERATIONS.
+    The contract is what matters: the returned Unit+Pair matrix is PSD to
+    eps_psd, satisfies every equality to eps_feas, and the singles Gram that
+    extraction reads from its pair-unit column is PSD to eps_psd and factors
+    to EPS_EXTRACT.  The step parameters are the module constants RHO,
+    OVER_RELAXATION, STOP_TOL, CHECK_EVERY, ADAPT_EVERY and POLISH_ITERATIONS.
     """
 
     eps_feas: float = 1e-6
@@ -241,9 +229,9 @@ class SolverConfig:
         # they would pass every tolerance gate in solve and extract_vectors.
         for name in ("eps_feas", "eps_psd"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+                raise InputError(f"{name} must be finite and positive")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InputError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -393,9 +381,9 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
 class VectorSolution:
     """The n x n singles Gram G and a factor F with F F^T = G.
 
-    G_ii = 1 and G_ij = (1/3) sum_a v_{ij,a} . v0, so v_ij . v0 = 3 G_ij.  By
-    pair_link, G is the average of the three per-axis singles blocks of M, and
-    row i of F is a vector for vertex i.
+    G_ii = 1 and G_ij = (1/3) sum_a v_{ij,a} . v0, so v_ij . v0 = 3 G_ij.  G is
+    the average of the three pivot Grams G_a of build_model, so it is PSD
+    whenever M is, and row i of F is a vector for vertex i.
     """
 
     G: np.ndarray

@@ -52,7 +52,9 @@ def test_solve_dump_model(tmp_path):
     assert run(["solve", "--generate", "complete:n=2", "--dump-model", str(dump),
                 "--out", str(out)]) == EXIT_OK
     model = json.loads(dump.read_text())
-    assert len(model["constraints"]) == 22
+    # Unit+Pair model of K2: unit_norm 1, pair_norm 3, pair_product 3
+    assert len(model["labels"]) == 4
+    assert len(model["constraints"]) == 7
 
 
 def test_round_outputs_outcome(tmp_path, capsys):
@@ -184,6 +186,39 @@ def test_non_integer_generator_parameter_is_input_error(spec, capsys):
 def test_directory_input_is_input_error(tmp_path, capsys):
     assert run(["exact", "--input", str(tmp_path)]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    assert run(["exact", "--input", str(path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_zero_vertex_graph_is_input_error(tmp_path, capsys):
+    # the relaxation needs a vertex: build_index(0) rejects it as input
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 0, "edges": []}')
+    assert run(["pipeline", "--input", str(path), "--rounds", "2"]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["round", "pipeline", "certify", "bench"])
+def test_negative_seed_is_input_error(command, capsys):
+    instance = ["--suite" if command == "bench" else "--generate", "complete:n=2"]
+    assert run([command, *instance, "--seed", "-1"]) == EXIT_INPUT
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_input_error(monkeypatch):
+    # only InputError and OSError are bad input; any other ValueError is a bug
+    # and must not be reported as exit 4
+    def broken_solve(model, cfg=None):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("qmcut.cli.solve", broken_solve)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(["solve", "--generate", "complete:n=2"])
 
 
 def test_json_weight_too_large_for_float_is_input_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -105,12 +107,24 @@ def test_exact_opt_known_instances():
 
 
 def test_exact_opt_matches_dense_diagonalization():
+    # H commutes with total spin, so the middle Hamming sector n // 2 holds the
+    # top of the full spectrum: odd and even n, isolated vertices, zero weights
     rng = np.random.default_rng(17)
+    graphs = [random_graph(rng, int(rng.integers(2, 7))) for _ in range(8)]
     for _ in range(8):
-        n = int(rng.integers(2, 7))
-        g = random_graph(rng, n)
+        n = int(rng.integers(1, 8))
+        edges = [(i, j, w * int(rng.random() < 0.6))
+                 for i, j, w in random_graph(rng, n, p=0.4).edges]
+        graphs.append(Graph.from_edges(n, edges))
+    graphs += [Graph.from_edges(1, []), Graph.from_edges(4, []),
+               Graph.from_edges(5, [(0, 1, 1.0), (1, 2, 0.0)]),
+               Graph.from_edges(7, [(0, 3, 0.5), (3, 6, 0.0), (2, 4, 1.5)])]
+    for g in graphs:
         want = float(np.linalg.eigvalsh(dense_hamiltonian(g))[-1])
-        assert exact_opt(g).lambda_max == pytest.approx(want, abs=1e-9)
+        opt = exact_opt(g)
+        assert opt.lambda_max == pytest.approx(want, abs=1e-9)
+        assert opt.sector == g.n // 2
+        assert opt.dimension == math.comb(g.n, g.n // 2)
 
 
 def test_exact_opt_relabel_invariant():
@@ -148,10 +162,10 @@ def test_moment_matrix_computational_basis():
     psi = StateVector.from_bits((0, 0, 0))
     index = build_index(3)
     m = moment_matrix_from_state(psi, index)
-    for i in range(3):
-        assert m[index.single_row(i, 3), 0] == pytest.approx(1.0)   # <Z_i>
-        assert m[index.single_row(i, 1), 0] == pytest.approx(0.0)   # <X_i>
-        assert m[index.single_row(i, 2), 0] == pytest.approx(0.0)   # <Y_i>
+    for i, j in index.pairs:
+        assert m[index.pair_row(i, j, 3), 0] == pytest.approx(1.0)   # <Z_i Z_j>
+        assert m[index.pair_row(i, j, 1), 0] == pytest.approx(0.0)   # <X_i X_j>
+        assert m[index.pair_row(i, j, 2), 0] == pytest.approx(0.0)   # <Y_i Y_j>
 
 
 def test_moment_matrix_singlet_pairs():
@@ -173,9 +187,6 @@ def test_moment_matrix_matches_dense_definition():
     def dense_label(label):
         if label[0] == "unit":
             return np.eye(2**n, dtype=complex)
-        if label[0] == "single":
-            _, i, a = label
-            return kron_op(n, {i: {1: "X", 2: "Y", 3: "Z"}[a]})
         _, i, j, a = label
         letter = {1: "X", 2: "Y", 3: "Z"}[a]
         return kron_op(n, {i: letter, j: letter})

@@ -16,6 +16,7 @@ from qmcut import (
 )
 from qmcut.oracle import simulate
 from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, outcome_json_dict, sample_seeds
+from qmcut.sdp import EPS_EXTRACT
 
 
 def test_sample_assignment_deterministic():
@@ -82,19 +83,25 @@ def test_cut_frequency_matches_sphere_formula():
     _assert_cut_frequencies_match_gram(synthetic_solution(random_unit_rows(rng, 4)), 20_000)
 
 
-def test_singles_gram_cut_equals_axis_mixture(solved):
-    # One cut on G has the cut probability of the axis draw over the three
-    # per-axis singles blocks of M: arccos(G_ij)/pi = (1/3) sum_a arccos(M_a[i, j])/pi
+def test_pivot_gram_is_axis_gram(solved):
+    # For a pivot j and an axis a, the vectors (v0 at j, v_{ij,a} at i != j)
+    # have Gram G_a: 1 on the diagonal, M[pair(ik,a), 0] off it.  So G_a is a
+    # principal submatrix of M, hence PSD, and G = (G_1 + G_2 + G_3)/3 is the
+    # Gram that rounding cuts.
     for name in BENCH_NAMES:
         inst = solved(name)
-        M, index = inst.gram.M, inst.gram.index
-        for i, j in index.pairs:
-            mixture = sum(
-                math.acos(float(np.clip(M[index.single_row(i, a), index.single_row(j, a)],
-                                        -1.0, 1.0)))
-                for a in (1, 2, 3)) / (3.0 * math.pi)
-            single = math.acos(float(np.clip(inst.vectors.G[i, j], -1.0, 1.0))) / math.pi
-            assert abs(single - mixture) <= 1e-9, (name, i, j, single, mixture)
+        M, index, n = inst.gram.M, inst.gram.index, inst.graph.n
+        axis_grams = []
+        for a in (1, 2, 3):
+            g_a = np.eye(n)
+            for i, k in index.pairs:
+                g_a[i, k] = g_a[k, i] = M[index.pair_row(i, k, a), 0]
+            axis_grams.append(g_a)
+            for j in range(n):
+                rows = [0 if i == j else index.pair_row(i, j, a) for i in range(n)]
+                err = float(np.abs(M[np.ix_(rows, rows)] - g_a).max())
+                assert err <= 10 * EPS_EXTRACT, (name, j, a, err)
+        assert np.allclose(sum(axis_grams) / 3.0, inst.vectors.G, rtol=0.0, atol=1e-15)
 
 
 def test_sample_assignment_cut_frequency_on_solutions(solved):

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import BENCH_NAMES
 from helpers import haar_state, pair_sum_gram, random_graph
 from qmcut import (
     Graph,
@@ -26,18 +27,21 @@ from qmcut.sdp import EPS_EXTRACT, GramSolution, Residuals, constraint_operator,
 
 
 def expected_constraint_total(n: int) -> int:
-    # direct enumeration of the eight families over all pairs/triples
+    # direct enumeration of the five families over all pairs/triples:
+    # unit_norm 1, pair_norm and pair_product 3 per pair, triple_link 9 and
+    # cross_zero 18 per vertex triple
     p = n * (n - 1) // 2
     t = n * (n - 1) * (n - 2) // 6
-    return 1 + 6 * n + 9 * p + 27 * t
+    return 1 + 6 * p + 27 * t
 
 
 def test_index_sizes():
-    assert build_index(1).size == 4
-    assert build_index(2).size == 10
-    assert build_index(3).size == 19
-    n = 10
-    assert build_index(n).size == 1 + 3 * n + 3 * n * (n - 1) // 2
+    # Unit plus three axes per vertex pair: 1 + 3P
+    assert build_index(1).size == 1
+    assert build_index(2).size == 4
+    assert build_index(3).size == 10
+    for n in (8, 10, 12):
+        assert build_index(n).size == 1 + 3 * n * (n - 1) // 2
 
 
 def test_index_rejects_empty():
@@ -48,11 +52,12 @@ def test_index_rejects_empty():
 def test_index_ordering_and_lookup():
     index = build_index(3)
     assert index.labels[0] == ("unit",)
-    assert index.labels[1] == ("single", 0, 1)
-    assert index.labels[4] == ("single", 1, 1)
-    # pair rows come after all singles, lexicographic in (i, j, a)
-    assert index.labels[10] == ("pair", 0, 1, 1)
-    assert index.pair_row(1, 0, 1) == index.pair_row(0, 1, 1)
+    # pair rows follow Unit, lexicographic in (i, j, a); no other labels
+    assert index.labels[1] == ("pair", 0, 1, 1)
+    assert index.labels[4] == ("pair", 0, 2, 1)
+    assert index.labels[9] == ("pair", 1, 2, 3)
+    assert {label[0] for label in index.labels} == {"unit", "pair"}
+    assert index.pair_row(1, 0, 1) == index.pair_row(0, 1, 1) == 1
     assert sorted(index.lookup.values()) == list(range(index.size))
 
 
@@ -61,27 +66,26 @@ def test_model_counts_two_vertices():
     counts = model.family_counts()
     assert counts == {
         "unit_norm": 1,
-        "single_norm": 6,
-        "single_ortho": 6,
         "pair_norm": 3,
-        "pair_link": 3,
         "triple_link": 0,
         "cross_zero": 0,
         "pair_product": 3,
     }
-    assert len(model.constraints) == 22
+    assert len(model.constraints) == 7
 
 
 def test_model_counts_three_vertices():
     model = build_model(generate("complete", {"n": 3}))
     assert model.family_counts()["triple_link"] == 9
-    assert len(model.constraints) == expected_constraint_total(3)
+    assert model.family_counts()["cross_zero"] == 18
+    assert len(model.constraints) == expected_constraint_total(3) == 46
 
 
 def test_model_counts_general():
     for n in (4, 5, 8):
         g = Graph.from_edges(n, [(0, 1, 1.0)])
         assert len(build_model(g).constraints) == expected_constraint_total(n)
+    assert expected_constraint_total(8) == 1681
 
 
 def test_model_constraints_independent_of_edges():
@@ -93,11 +97,16 @@ def test_model_constraints_independent_of_edges():
 
 
 # SHA-256 of model_to_json(build_model(g)): pins the label order and every
-# constraint entry, which a reduction of the relaxation must keep.
+# constraint entry, which a reduction of the relaxation must keep.  These are
+# the bytes of the Unit+Pair model.  They changed when the Single labels and
+# the single_norm, single_ortho and pair_link families were dropped: the pair
+# rows moved up by 3n and those constraints left the list, while every other
+# constraint kept its order and entries (build_model's docstring shows the two
+# relaxations are equal; test_objective_matches_recorded_value pins the values).
 MODEL_DIGESTS = {
-    "complete:n=4": "2fa7ad2500f939477426172a5f492b7fc83adfd15c8b56e24f5521372b205e0c",
+    "complete:n=4": "02e48a63b849c185e00dc0a43bc1db2409faf60987339f2e9b2f5cd73fac937c",
     "erdos_renyi:n=6,p=0.5,seed=2":
-        "bb45d97b8e9bf6df4667e6066f02ec9c89170816434ded2651317092ca052f93",
+        "6f3d639756dd53d210e30d3ce61a59071dc1a023b8433225e87b8b63a6aec0df",
 }
 
 
@@ -105,6 +114,26 @@ MODEL_DIGESTS = {
 def test_model_json_digest(spec):
     dump = model_to_json(build_model(parse_generator_spec(spec)))
     assert hashlib.sha256(dump.encode()).hexdigest() == MODEL_DIGESTS[spec]
+
+
+# SDP objectives of the bench instances, recorded with the relaxation that
+# still carried the Single labels.  The Unit+Pair relaxation is the same
+# optimization problem, so its values must not move.
+RECORDED_OBJECTIVES = {
+    "K2": 1.0000000005094025,
+    "P3": 1.500000000955325,
+    "K3": 1.500000000619707,
+    "K13": 1.9999998850484844,
+    "C5": 3.259720183432991,
+    "ER8a": 6.0811391431443305,
+    "ER8b": 5.924743761932378,
+    "ER8c": 6.121849847467887,
+}
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_objective_matches_recorded_value(name, solved):
+    assert abs(solved(name).gram.objective - RECORDED_OBJECTIVES[name]) <= 1e-6
 
 
 def test_objective_structure():
@@ -121,8 +150,8 @@ def test_model_json_dump():
     model = build_model(generate("complete", {"n": 2}))
     payload = json.loads(model_to_json(model))
     assert payload["n"] == 2
-    assert len(payload["labels"]) == 10
-    assert len(payload["constraints"]) == 22
+    assert len(payload["labels"]) == 4
+    assert len(payload["constraints"]) == 7
     families = {c["family"] for c in payload["constraints"]}
     assert "pair_product" in families
 
