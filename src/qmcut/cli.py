@@ -22,9 +22,10 @@ from . import certify as certify_mod
 from .energy import total_energy
 from .graph import Graph, GraphError, InputError, parse_generator_spec, parse_graph
 from .oracle import DEFAULT_QUBIT_LIMIT, exact_opt, expectation, simulate
-from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, outcome_json_dict,
-                       sample_assignment, sample_seeds)
-from .sdp import SolverConfig, SolverError, build_model, extract_vectors, model_to_json, solve
+from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
+                       outcome_json_dict, sample_assignment, sample_seeds)
+from .sdp import (EPS_FEAS, EPS_PSD, SolverConfig, SolverError, build_model, extract_vectors,
+                  model_to_json, solve)
 
 SCHEMA = "qmc-report/2"
 EXIT_OK = 0
@@ -46,8 +47,10 @@ class RunConfig:
     audits: bool = False
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise InputError("rounds must be >= 1")
+        # Checked here, before the solve; run_pipeline first uses them after it.
+        if not 1 <= self.rounds <= np.iinfo(np.intp).max:
+            raise InputError(f"rounds must be between 1 and {np.iinfo(np.intp).max}")
+        check_alpha0(self.alpha0)
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -75,8 +78,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "alpha0": cfg.alpha0,
             "sim_limit": cfg.sim_limit,
             "deterministic": cfg.deterministic,
-            "eps_feas": cfg.solver.eps_feas,
-            "eps_psd": cfg.solver.eps_psd,
+            "eps_feas": EPS_FEAS,
+            "eps_psd": EPS_PSD,
         },
     }
 
@@ -86,7 +89,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     try:
         gram = solve(model, cfg.solver)
         stage = "extract"
-        vs = extract_vectors(gram, cfg.solver)
+        vs = extract_vectors(gram)
     except SolverError as exc:
         report["status"] = "solver_failure"
         report["stage"] = stage
@@ -248,9 +251,18 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _alpha0(text: str) -> float:
+    """--alpha0 value: checked before any solve, as check_alpha0 does."""
+    alpha0 = float(text)
+    try:
+        check_alpha0(alpha0)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return alpha0
+
+
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(eps_feas=args.tol_feas, eps_psd=args.tol_psd,
-                        max_iterations=args.max_iterations)
+    return SolverConfig(max_iterations=args.max_iterations)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -269,10 +281,9 @@ def _run_config(args, source: str, g: Graph, audits: bool = False) -> RunConfig:
 
 def _solved_vectors(args):
     source, g = _load_graph(args)
-    cfg = _solver_config(args)
     model = build_model(g)
-    gram = solve(model, cfg)
-    return source, g, model, gram, extract_vectors(gram, cfg)
+    gram = solve(model, _solver_config(args))
+    return source, g, model, gram, extract_vectors(gram)
 
 
 def cmd_solve(args) -> int:
@@ -368,11 +379,9 @@ _FLAGS: dict[str, dict] = {
                 "help": "';'-separated generator specs, e.g. 'complete:n=2;path:n=3'"},
     "--rounds": {"type": int, "default": RunConfig.rounds},
     "--seed": {"type": _seed, "default": RunConfig.seed},
-    "--alpha0": {"type": float, "default": ALPHA0_DEFAULT},
+    "--alpha0": {"type": _alpha0, "default": ALPHA0_DEFAULT},
     "--samples": {"type": int, "default": certify_mod.CUT_SAMPLES},
     "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
-    "--tol-feas": {"type": float, "default": SolverConfig.eps_feas},
-    "--tol-psd": {"type": float, "default": SolverConfig.eps_psd},
     "--max-iterations": {"type": int, "default": SolverConfig.max_iterations},
     "--deterministic": {"action": "store_true",
                         "help": "zero wall-clock timings for byte-identical outputs"},
@@ -384,7 +393,7 @@ _FLAGS: dict[str, dict] = {
 }
 
 _INSTANCE = ("--input", "--generate")
-_SOLVER = ("--tol-feas", "--tol-psd", "--max-iterations")
+_SOLVER = ("--max-iterations",)
 
 # Subcommand -> (handler, help, the flags the handler reads).
 _SUBCOMMANDS = {

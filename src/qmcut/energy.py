@@ -68,12 +68,6 @@ def _orient_cut(assign: Assignment, edge: tuple[int, int]) -> tuple[int, int]:
     return (i, j) if zi == 0 else (j, i)
 
 
-def _check_nonnegative_thetas(params: EdgeParameters) -> None:
-    worst = min(params.theta.values(), default=0.0)
-    if worst < 0.0:
-        raise ValueError(f"negative rotation angle {worst}; the bound requires theta >= 0")
-
-
 def _cut_edge_terms(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p: int,
                     q: int) -> tuple[float, float, float, float]:
     """(s_pq, A, B, even_subset_sum) of the cut edge (p, q) with z_p = 0.
@@ -132,10 +126,9 @@ def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
                       edge: tuple[int, int]) -> float:
     """Lower bound on <4 H_ij>: empty-subset truncation on cut edges, 0 otherwise.
 
-    Requires every rotation angle to be nonnegative; for angles in [0, pi/4]
-    the dropped even-subset terms are nonnegative, so bound <= exact.
+    EdgeParameters holds only nonnegative angles; for angles in [0, pi/4] the
+    dropped even-subset terms are nonnegative, so bound <= exact.
     """
-    _check_nonnegative_thetas(params)
     i, j = edge
     if assign.z[i] == assign.z[j]:
         return 0.0
@@ -148,7 +141,6 @@ def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEn
     Uncut edges contribute 0 to the exact total and are listed, so the exact
     total is itself a lower bound on the true state energy.
     """
-    _check_nonnegative_thetas(params)
     rows = []
     bound_total = 0.0
     exact_total = 0.0

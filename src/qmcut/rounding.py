@@ -37,12 +37,18 @@ class EdgeParameters:
     """Per-edge overlap gamma and rotation angle theta = f(gamma).
 
     theta is zero whenever gamma <= 0 and never exceeds arccos(e^-alpha0)/2,
-    which stays below pi/4 for every alpha0 >= 0.
+    which stays below pi/4 for every alpha0 >= 0.  Negative angles are
+    rejected here, once: the energy bounds require theta >= 0.
     """
 
     gamma: dict[tuple[int, int], float]
     theta: dict[tuple[int, int], float]
     alpha0: float
+
+    def __post_init__(self):
+        worst = min(self.theta.values(), default=0.0)
+        if worst < 0.0:
+            raise ValueError(f"negative rotation angle {worst}; the bound requires theta >= 0")
 
     @classmethod
     def from_solution(cls, vs: VectorSolution, g: Graph,

@@ -58,7 +58,7 @@ def solved():
             gram = solve(model, cfg)
             _SOLVED[name] = SolvedInstance(
                 name=name, graph=g, model=model, gram=gram,
-                vectors=extract_vectors(gram, cfg), config=cfg,
+                vectors=extract_vectors(gram), config=cfg,
             )
         return _SOLVED[name]
 

@@ -228,11 +228,32 @@ def test_json_weight_too_large_for_float_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--tol-feas", "nan"), ("--tol-psd", "inf"),
-                                         ("--max-iterations", "0")])
+@pytest.mark.parametrize("flag, value", [("--max-iterations", "0")])
 def test_invalid_solver_setting_is_input_error(flag, value, capsys):
     assert run(["solve", "--generate", "complete:n=2", flag, value]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--generate", ER8C, "--alpha0=-1"],
+    ["pipeline", "--generate", ER8C, "--rounds", "100000000000000000000"],
+    ["bench", "--suite", ER8C, "--rounds", "100000000000000000000"],
+    ["bench", "--suite", ER8C, "--alpha0", "nan"],
+    ["round", "--generate", ER8C, "--alpha0", "-1"],
+    ["energy", "--generate", ER8C, "--alpha0", "inf"],
+    ["certify", "--generate", ER8C, "--alpha0", "nan"],
+    ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
+], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "bench-alpha0", "round-alpha0",
+        "energy-alpha0", "certify-alpha0", "solve-tol-feas"])
+def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
+    def no_solve(model, cfg=None):
+        raise AssertionError("solve called for a run that should be rejected")
+
+    monkeypatch.setattr("qmcut.cli.solve", no_solve)
+    assert run(argv) == EXIT_INPUT
 
 
 @pytest.mark.parametrize("spec", ["complete:n=2", "path:n=1"])
@@ -253,30 +274,27 @@ def test_invalid_alpha0_is_input_error(command, extra, value, spec, tmp_path, ca
 
 # Each subcommand's flags, a value for each, and one flag it must reject.
 PARSER_TABLE = {
-    "solve": ({"--input": "g.txt", "--generate": "path:n=3", "--tol-feas": "1e-6",
-               "--tol-psd": "1e-8", "--max-iterations": "10", "--out": "o.json",
-               "--dump-model": "m.json"}, ["--seed", "1"]),
+    "solve": ({"--input": "g.txt", "--generate": "path:n=3", "--max-iterations": "10",
+               "--out": "o.json", "--dump-model": "m.json"}, ["--seed", "1"]),
     "round": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
-               "--alpha0": "0.05", "--tol-feas": "1e-6", "--tol-psd": "1e-8",
-               "--max-iterations": "10", "--out": "o.json"}, ["--rounds", "5"]),
+               "--alpha0": "0.05", "--max-iterations": "10", "--out": "o.json"},
+              ["--rounds", "5"]),
     "energy": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
-                "--alpha0": "0.05", "--tol-feas": "1e-6", "--tol-psd": "1e-8",
-                "--max-iterations": "10", "--out": "o.json"}, ["--sim-limit", "4"]),
+                "--alpha0": "0.05", "--max-iterations": "10", "--out": "o.json"},
+               ["--sim-limit", "4"]),
     "exact": ({"--input": "g.txt", "--generate": "path:n=3", "--sim-limit": "4",
                "--out": "o.json"}, ["--rounds", "5"]),
     "certify": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
                  "--alpha0": "0.05", "--samples": "100", "--sim-limit": "4",
-                 "--tol-feas": "1e-6", "--tol-psd": "1e-8", "--max-iterations": "10",
-                 "--out": "o.json", "--sweep": None}, ["--deterministic"]),
+                 "--max-iterations": "10", "--out": "o.json", "--sweep": None},
+                ["--deterministic"]),
     "bench": ({"--suite": "path:n=3", "--rounds": "5", "--seed": "1", "--alpha0": "0.05",
-               "--sim-limit": "4", "--tol-feas": "1e-6", "--tol-psd": "1e-8",
-               "--max-iterations": "10", "--deterministic": None, "--format": "json",
-               "--out": "o.csv"}, ["--input", "x"]),
+               "--sim-limit": "4", "--max-iterations": "10", "--deterministic": None,
+               "--format": "json", "--out": "o.csv"}, ["--input", "x"]),
     "pipeline": ({"--input": "g.txt", "--generate": "path:n=3", "--rounds": "5",
                   "--seed": "1", "--alpha0": "0.05", "--sim-limit": "4",
-                  "--tol-feas": "1e-6", "--tol-psd": "1e-8", "--max-iterations": "10",
-                  "--deterministic": None, "--certify": None, "--out": "o.json"},
-                 ["--format", "csv"]),
+                  "--max-iterations": "10", "--deterministic": None, "--certify": None,
+                  "--out": "o.json"}, ["--format", "csv"]),
 }
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 from dataclasses import fields, replace
 from itertools import combinations
 
@@ -219,6 +218,23 @@ def test_solver_relaxes_every_state(solved):
             assert float(np.abs(a @ m.reshape(-1) - b).max()) < 1e-10
 
 
+@pytest.mark.parametrize("spec", ["complete:n=2", "complete:n=4", "path:n=5",
+                                  "erdos_renyi:n=6,p=0.5,seed=2"])
+def test_identity_meets_every_constraint(spec):
+    # the diagonal is fixed to 1 and every other constraint is homogeneous in
+    # off-diagonal entries, so the identity is feasible; solve relies on it
+    model = build_model(parse_generator_spec(spec))
+    a, b = constraint_operator(model)
+    assert float(np.abs(a @ np.eye(model.index.size).reshape(-1) - b).max()) == 0.0
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_solution_feasible_to_rounding_error(name, solved):
+    res = solved(name).gram.residuals
+    assert res.max_constraint <= 1e-12
+    assert res.min_eigenvalue >= -1e-12
+
+
 def test_extract_identity_gram():
     # a zero pair-unit column gives G = I
     index = build_index(3)
@@ -292,16 +308,10 @@ def test_monogamy_over_pair_universe(solved):
 
 
 def test_solver_config_validation():
-    for bad in (0.0, -1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SolverConfig(eps_feas=bad)
-        with pytest.raises(ValueError):
-            SolverConfig(eps_psd=bad)
     for bad in (0, -1):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=bad)
 
 
 def test_solver_config_fields():
-    assert [f.name for f in fields(SolverConfig)] == ["eps_feas", "eps_psd",
-                                                      "max_iterations", "seed"]
+    assert [f.name for f in fields(SolverConfig)] == ["max_iterations", "seed"]
