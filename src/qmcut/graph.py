@@ -232,8 +232,8 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
         weights = [1.0] * len(pairs)
     else:
         wmin, wmax = float(wmin), float(wmax)
-        if not (0.0 <= wmin <= wmax):
-            raise GraphError(f"need 0 <= wmin <= wmax, got ({wmin}, {wmax})")
+        if not (0.0 <= wmin <= wmax < math.inf):
+            raise GraphError(f"need 0 <= wmin <= wmax < inf, got ({wmin}, {wmax})")
         weights = [float(rng.uniform(wmin, wmax)) for _ in pairs]
     return Graph.from_edges(n, [(i, j, w) for (i, j), w in zip(pairs, weights)])
 

@@ -4,24 +4,23 @@ The relaxation optimizes over one Gram matrix M indexed by the operator labels
 Unit and Pair({i,j}, a), with a in {1,2,3} standing for the Pauli letters X, Y,
 Z.  The objective and all constraints are linear in M, M is PSD, and feasible
 solutions correspond to vector tuples (v0, v_{ij,a}) via any Gram
-factorization.  Every diagonal entry of M is fixed to 1 and every other
-constraint is homogeneous, so the identity (the moment matrix of the maximally
-mixed state) is feasible; solve starts from it and ends with one step toward
-it.  Rounding needs only the n x n singles Gram, which extraction reads from
-the pair-unit column of M and factors; build_model shows why that Gram is PSD
-without Single labels in the index.
+factorization.  Each constraint fixes an entry (the diagonal to 1, others to 0)
+or ties one to the pair-unit column of M, so solve projects onto them by signed
+group means, and the identity (the moment matrix of the maximally mixed state)
+is feasible: solve starts from it and ends with one step toward it.  Rounding
+needs only the n x n singles Gram, which extraction reads from that column and
+factors; build_model shows why that Gram is PSD without Single labels.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .graph import Graph, InputError
 
@@ -91,7 +90,7 @@ class Constraint:
 class SdpModel:
     graph: Graph
     index: GramIndex
-    objective: sp.csr_matrix          # symmetric; value is <C, M>
+    objective: np.ndarray             # dense symmetric C; value is <C, M>
     constraints: tuple[Constraint, ...]
 
     def family_counts(self) -> dict[str, int]:
@@ -163,27 +162,21 @@ def build_model(g: Graph) -> SdpModel:
                             "cross_zero",
                         )
 
-    rows, cols, vals = [], [], []
+    objective = np.zeros((index.size, index.size))
+    objective[0, 0] = math.fsum(w / 4.0 for _, _, w in g.edges)
     for i, j, w in g.edges:
-        rows.append(0)
-        cols.append(0)
-        vals.append(w / 4.0)
-        for a in AXES:
-            r = index.pair_row(i, j, a)
-            rows.extend((r, 0))
-            cols.extend((0, r))
-            vals.extend((-w / 8.0, -w / 8.0))
-    objective = sp.csr_matrix((vals, (rows, cols)), shape=(index.size, index.size))
+        r = index.pair_row(i, j, 1)         # the three axes of a pair are adjacent rows
+        objective[0, r:r + 3] = objective[r:r + 3, 0] = -w / 8.0
     return SdpModel(graph=g, index=index, objective=objective, constraints=tuple(cons))
 
 
 def model_to_json(model: SdpModel) -> str:
     """Dump the model for cross-solver debugging: labels plus entry triplets."""
-    obj = model.objective.tocoo()
+    obj = model.objective
     payload = {
         "n": model.graph.n,
         "labels": [list(label) for label in model.index.labels],
-        "objective": [[int(r), int(c), float(v)] for r, c, v in zip(obj.row, obj.col, obj.data)],
+        "objective": [[int(r), int(c), float(obj[r, c])] for r, c in zip(*np.nonzero(obj))],
         "constraints": [
             {
                 "entries": [[r, c, w] for r, c, w in con.entries],
@@ -206,7 +199,7 @@ OVER_RELAXATION = 1.8
 STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
 CHECK_EVERY = 25
 ADAPT_EVERY = 100
-EPS_FEAS = 1e-6             # max |A vec(M) - b| accepted by solve
+EPS_FEAS = 1e-6             # max constraint residual accepted by solve
 EPS_PSD = 1e-8              # least eigenvalue of M and of G accepted: >= -EPS_PSD
 EPS_EXTRACT = 1e-6          # max |F F^T - G| accepted by extract_vectors
 
@@ -262,47 +255,54 @@ class SolverError(RuntimeError):
         self.residuals = residuals
 
 
-def constraint_operator(model: SdpModel) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse A with A @ vec(M) = per-constraint values, plus the target b."""
-    d = model.index.size
-    rows, cols, vals = [], [], []
-    b = np.empty(len(model.constraints))
-    for l, con in enumerate(model.constraints):
-        b[l] = con.rhs
-        for r, c, w in con.entries:
-            if r == c:
-                rows.append(l)
-                cols.append(r * d + c)
-                vals.append(w)
-            else:
-                rows.extend((l, l))
-                cols.extend((r * d + c, c * d + r))
-                vals.extend((w / 2.0, w / 2.0))
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(model.constraints), d * d))
-    return A, b
+def affine_projector(model: SdpModel):
+    """Orthogonal projection of a symmetric matrix onto the constraint set.
+
+    Each constraint fixes one entry or ties one entry, up to sign, to a pair-unit
+    entry M[0, u], and no entry is tied twice; so the projection sets each group,
+    M[0, u] and the entries tied to it, to its signed mean.
+    """
+    fixed, ties = [], []
+    for con in model.constraints:
+        (r, c, w), *tie = con.entries
+        if tie:                                 # w M[r, c] + w_u M[0, u] = 0
+            ties.append((r, c, tie[0][1], -tie[0][2] / w))
+        else:
+            fixed.append((r, c, con.rhs / w))
+    fixed, ties = np.array(fixed), np.array(ties).reshape(-1, 4)
+    (fix_r, fix_c), value = fixed[:, :2].T.astype(int), fixed[:, 2]
+    (tie_r, tie_c, tie_u), sign = ties[:, :3].T.astype(int), ties[:, 3]
+    size = 1.0 + np.bincount(tie_u, minlength=model.index.size)
+
+    def project(Y: np.ndarray) -> np.ndarray:
+        X = (Y + Y.T) / 2.0
+        mean = (X[0] + np.bincount(tie_u, sign * X[tie_r, tie_c], len(X))) / size
+        X[0] = X[:, 0] = mean
+        X[tie_r, tie_c] = X[tie_c, tie_r] = sign * mean[tie_u]
+        X[fix_r, fix_c] = X[fix_c, fix_r] = value
+        return X
+
+    return project
+
+
+def constraint_residual(model: SdpModel, M: np.ndarray) -> float:
+    """max over the constraints of |sum_k coeff_k * M[row_k, col_k] - rhs|."""
+    return max(abs(float(sum(w * M[r, c] for r, c, w in con.entries)) - con.rhs)
+               for con in model.constraints)
 
 
 def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     """Maximize <C, M> over the affine constraint set intersected with the PSD cone.
 
     Operator splitting with over-relaxation and scaled dual updates: one affine
-    projection (cached sparse factorization) and one dense eigendecomposition
-    per iteration.  The last PSD iterate is projected onto the affine set and
+    projection (signed group means) and one dense eigendecomposition per
+    iteration.  The last PSD iterate is projected onto the affine set and
     shifted toward the identity just enough to be PSD, which keeps every
     equality: M = (1 - t) X + t I.  Deterministic for a fixed config.
     """
     cfg = cfg or SolverConfig()
     d = model.index.size
-    A, b = constraint_operator(model)
-    At = A.T.tocsr()
-    lu = splu((A @ At).tocsc())
-    C = np.asarray(model.objective.todense())
-
-    def project_affine(Y: np.ndarray) -> np.ndarray:
-        y = Y.reshape(-1)
-        corr = lu.solve(A @ y - b)
-        Z = (y - At @ corr).reshape(d, d)
-        return (Z + Z.T) / 2.0
+    project_affine = affine_projector(model)
 
     def project_psd(Y: np.ndarray) -> np.ndarray:
         w, Q = np.linalg.eigh(Y)
@@ -319,7 +319,7 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        X = project_affine(Z - U + C / rho)
+        X = project_affine(Z - U + model.objective / rho)
         Xhat = alpha * X + (1.0 - alpha) * Z
         W = Xhat + U
         Z_new = project_psd(W)
@@ -349,7 +349,7 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     M = (1.0 - t) * X + t * np.eye(d)
 
     res = Residuals(
-        max_constraint=float(np.abs(A @ M.reshape(-1) - b).max()),
+        max_constraint=constraint_residual(model, M),
         min_eigenvalue=float(np.linalg.eigvalsh(M)[0]),
         iterations=iterations,
         converged=converged,
@@ -358,7 +358,7 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
         raise SolverError("splitting solver did not converge within max_iterations", res)
     if res.max_constraint > EPS_FEAS or res.min_eigenvalue < -EPS_PSD:
         raise SolverError("solution violates the feasibility tolerances", res)
-    objective = float(np.sum(C * M))
+    objective = float(np.sum(model.objective * M))
     return GramSolution(index=model.index, M=M, objective=objective, residuals=res)
 
 
@@ -385,10 +385,13 @@ class VectorSolution:
 
 
 def extract_vectors(sol: GramSolution) -> VectorSolution:
-    """Build G from the pair-unit column of M and factor it by eigendecomposition.
+    """Build G from the pair-unit column of M and factor it as F = G^(1/2).
 
-    Eigenvalues in [-EPS_PSD, 0) are clamped to zero; anything below -EPS_PSD
-    means the solution is not PSD to tolerance and is rejected.
+    The PSD square root Q diag(sqrt(w)) Q^T is unique, unlike Q diag(sqrt(w)),
+    which follows eigh's choice of basis where G has repeated eigenvalues; so
+    a rounding-level change in M cannot redraw the cuts.  Eigenvalues in
+    [-EPS_PSD, 0) are clamped to zero; anything below -EPS_PSD means the
+    solution is not PSD to tolerance and is rejected.
     """
     index = sol.index
     G = np.eye(index.n)
@@ -400,7 +403,7 @@ def extract_vectors(sol: GramSolution) -> VectorSolution:
         raise SolverError(f"solution is not PSD to tolerance (min eigenvalue {w[0]:.3e})",
                           sol.residuals)
     np.clip(w, 0.0, None, out=w)
-    F = Q * np.sqrt(w)
+    F = (Q * np.sqrt(w)) @ Q.T
     extraction_error = float(np.abs(F @ F.T - G).max())
     if extraction_error > EPS_EXTRACT:
         raise SolverError(f"dot-product reconstruction error {extraction_error:.3e} "

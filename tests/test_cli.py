@@ -83,6 +83,7 @@ def test_missing_input_is_input_error(capsys):
     assert run(["pipeline", "--input", "/nonexistent/file.txt"]) == EXIT_INPUT
     assert run(["pipeline", "--generate", "frobnicate:n=2"]) == EXIT_INPUT
     assert run(["pipeline", "--generate", "erdos_renyi:n=4,p=7"]) == EXIT_INPUT
+    assert run(["exact", "--generate", "complete:n=3,wmin=0,wmax=inf"]) == EXIT_INPUT
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,10 @@ def test_generate_rejects_bad_params():
         generate("complete", {"n": 3, "bogus": 1})
     with pytest.raises(GraphError):
         generate("frobnicate", {"n": 3})
+    # an infinite weight range is rejected before any draw
+    for wmin, wmax in ((0.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(GraphError):
+            generate("complete", {"n": 3, "wmin": wmin, "wmax": wmax})
 
 
 def test_generate_weight_range_deterministic():
