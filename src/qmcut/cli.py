@@ -27,7 +27,9 @@ from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alph
 from .sdp import (EPS_FEAS, EPS_PSD, SolverConfig, SolverError, build_model, extract_vectors,
                   model_to_json, solve)
 
-SCHEMA = "qmc-report/2"
+PIPELINE_SCHEMA = "qmc-report/2"
+SOLVE_SCHEMA = "qmc-solve/1"
+EXACT_SCHEMA = "qmc-exact/1"
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_AUDIT = 3
@@ -67,7 +69,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     report: dict = {
-        "schema": SCHEMA,
+        "schema": PIPELINE_SCHEMA,
         "status": "ok",
         "instance": cfg.source,
         "n": g.n,
@@ -291,7 +293,7 @@ def cmd_solve(args) -> int:
     if args.dump_model:
         Path(args.dump_model).write_text(model_to_json(model) + "\n", encoding="utf-8")
     payload = {
-        "schema": SCHEMA,
+        "schema": SOLVE_SCHEMA,
         "instance": source,
         "objective": gram.objective,
         **gram.residuals.to_json_dict(),
@@ -323,7 +325,7 @@ def cmd_energy(args) -> int:
 def cmd_exact(args) -> int:
     source, g = _load_graph(args)
     spectrum = exact_opt(g, limit=args.sim_limit)
-    payload = {"schema": SCHEMA, "instance": source, "lambda_max": spectrum.lambda_max,
+    payload = {"schema": EXACT_SCHEMA, "instance": source, "lambda_max": spectrum.lambda_max,
                "sector": spectrum.sector, "dimension": spectrum.dimension}
     _emit(report_to_json(payload), args.out)
     return EXIT_OK

@@ -17,12 +17,6 @@ from .sdp import GramIndex
 
 DEFAULT_QUBIT_LIMIT = 16
 
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class QubitLimitError(InputError):
     """Instance exceeds the exact-computation qubit limit."""
@@ -45,10 +39,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "StateVector") -> float:
-        """|<self|other>|, i.e. fidelity up to global phase."""
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -57,50 +47,54 @@ class SpectrumResult:
     dimension: int    # dimension of that sector, C(n, n // 2)
 
 
-def _pair_slices(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Stack the four amplitude groups for qubits (i, j).
+# X|b> = |1-b>, Y|0> = i|1>, Y|1> = -i|0>, Z|b> = (-1)^b |b>: the phase of bit b.
+_PHASES = {
+    "X": np.array([1, 1], dtype=complex),
+    "Y": np.array([-1j, 1j]),
+    "Z": np.array([1, -1], dtype=complex),
+}
 
-    Row ell = b_i + 2*b_j of the result collects the amplitudes whose bits at
-    (i, j) equal (b_i, b_j); a 4x4 kernel in this local basis is kron(Q_j, P_i).
+
+def _apply_pauli(amps: np.ndarray, letter: str, qubit: int) -> np.ndarray:
+    """The Pauli letter on one qubit, applied to little-endian amplitudes.
+
+    As shape (-1, 2, 2**qubit) the middle axis is the qubit's bit: X and Y
+    swap its two halves, then each half takes the letter's phase.  This is the
+    only place a Pauli acts on a state.
     """
-    idx = np.arange(amps.size)
-    base = idx[((idx >> i) & 1 == 0) & ((idx >> j) & 1 == 0)]
-    return np.stack([base, base + (1 << i), base + (1 << j), base + (1 << i) + (1 << j)])
+    if letter not in _PHASES:
+        raise ValueError(f"unknown Pauli letter {letter!r}")
+    halves = amps.reshape(-1, 2, 1 << qubit)
+    if letter != "Z":
+        halves = halves[:, ::-1]
+    return (halves * _PHASES[letter][:, None]).reshape(amps.shape)
 
 
 def simulate(circuit, limit: int = DEFAULT_QUBIT_LIMIT) -> StateVector:
     """Evolve the circuit's initial bit string through its commuting rotations.
 
-    Each gate applies exp(i * theta * P(i) P(j)) as a dense 4x4 kernel on the
-    edge's qubit pair; the result is independent of gate order.
+    Each gate is exp(i theta P_i Q_j) = cos(theta) I + i sin(theta) P_i Q_j,
+    because (P_i Q_j)^2 = I; the result is independent of gate order.
     """
     n = circuit.n
     if n > limit:
         raise QubitLimitError(f"{n} qubits exceeds the simulator limit of {limit}")
-    amps = StateVector.from_bits(circuit.z).amplitudes.copy()
-    eye4 = np.eye(4, dtype=complex)
+    amps = StateVector.from_bits(circuit.z).amplitudes
     for gate in circuit.gates:
-        i, j = gate.edge
-        pi, pj = gate.paulis
-        kernel = np.cos(gate.theta) * eye4 + 1j * np.sin(gate.theta) * np.kron(_PAULI[pj], _PAULI[pi])
-        rows = _pair_slices(amps, n, i, j)
-        amps[rows] = kernel @ amps[rows]
+        (i, j), (p, q) = gate.edge, gate.paulis
+        flipped = _apply_pauli(_apply_pauli(amps, p, i), q, j)
+        amps = np.cos(gate.theta) * amps + (1j * np.sin(gate.theta)) * flipped
     state = StateVector(n=n, amplitudes=amps)
-    if abs(state.norm() - 1.0) > 1e-12:
-        raise AssertionError("statevector norm drifted beyond 1e-12")
+    if not abs(state.norm() - 1.0) <= 1e-12:
+        raise AssertionError(f"statevector norm {state.norm()} is not within 1e-12 of 1")
     return state
 
 
 def pauli_pair_expectations(psi: StateVector, i: int, j: int) -> tuple[float, float, float]:
-    """(<X_i X_j>, <Y_i Y_j>, <Z_i Z_j>) for a normalized state."""
-    rows = _pair_slices(psi.amplitudes, psi.n, i, j)
-    a00, a10, a01, a11 = (psi.amplitudes[r] for r in rows)
-    n00, n10, n01, n11 = (float(np.sum(np.abs(a) ** 2)) for a in (a00, a10, a01, a11))
-    s_anti = complex(np.sum(np.conj(a00) * a11))   # couples |00> and |11>
-    s_flip = complex(np.sum(np.conj(a10) * a01))   # couples |10> and |01>
-    xx = 2.0 * (s_anti.real + s_flip.real)
-    yy = 2.0 * (s_flip.real - s_anti.real)
-    zz = (n00 + n11) - (n10 + n01)
+    """(<X_i X_j>, <Y_i Y_j>, <Z_i Z_j>) for a normalized state: Re <psi|L_i L_j psi>."""
+    amps = psi.amplitudes
+    xx, yy, zz = (float(np.vdot(amps, _apply_pauli(_apply_pauli(amps, L, i), L, j)).real)
+                  for L in "XYZ")
     return xx, yy, zz
 
 
@@ -146,20 +140,6 @@ def exact_opt(g: Graph, limit: int = DEFAULT_QUBIT_LIMIT) -> SpectrumResult:
         cols = np.searchsorted(basis, flipped)
         h[rows[differ], cols] -= w / 2.0
     return SpectrumResult(lambda_max=float(np.linalg.eigvalsh(h)[-1]), sector=k, dimension=dim)
-
-
-def _apply_pauli(amps: np.ndarray, letter: str, qubit: int) -> np.ndarray:
-    idx = np.arange(amps.size)
-    bit = (idx >> qubit) & 1
-    if letter == "Z":
-        return np.where(bit == 1, -amps, amps)
-    flipped = amps[idx ^ (1 << qubit)]
-    if letter == "X":
-        return flipped
-    if letter == "Y":
-        # Y|0> = i|1>, Y|1> = -i|0>: sign set by the target bit.
-        return 1j * np.where(bit == 1, flipped, -flipped)
-    raise ValueError(f"unknown Pauli letter {letter!r}")
 
 
 _LETTER_FOR_AXIS = {1: "X", 2: "Y", 3: "Z"}

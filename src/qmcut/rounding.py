@@ -37,8 +37,8 @@ class EdgeParameters:
     """Per-edge overlap gamma and rotation angle theta = f(gamma).
 
     theta is zero whenever gamma <= 0 and never exceeds arccos(e^-alpha0)/2,
-    which stays below pi/4 for every alpha0 >= 0.  Negative angles are
-    rejected here, once: the energy bounds require theta >= 0.
+    which stays below pi/4 for every alpha0 >= 0.  Negative and NaN angles
+    are rejected here, once: the energy bounds require theta >= 0.
     """
 
     gamma: dict[tuple[int, int], float]
@@ -46,9 +46,9 @@ class EdgeParameters:
     alpha0: float
 
     def __post_init__(self):
-        worst = min(self.theta.values(), default=0.0)
-        if worst < 0.0:
-            raise ValueError(f"negative rotation angle {worst}; the bound requires theta >= 0")
+        bad = [t for t in self.theta.values() if not t >= 0.0]
+        if bad:
+            raise ValueError(f"rotation angle {bad[0]} is not >= 0; the bound requires theta >= 0")
 
     @classmethod
     def from_solution(cls, vs: VectorSolution, g: Graph,

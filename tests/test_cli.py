@@ -42,6 +42,7 @@ def test_solve_from_edge_list_file(tmp_path, capsys):
     path.write_text("2\n0 1 1.0\n")
     assert run(["solve", "--input", str(path)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "qmc-solve/1"
     assert payload["objective"] == pytest.approx(1.0, abs=1e-5)
     assert payload["edge_share"]["0-1"] == pytest.approx(1.0, abs=1e-5)
 
@@ -75,6 +76,7 @@ def test_energy_outputs_report(capsys):
 def test_exact_subcommand(capsys):
     assert run(["exact", "--generate", "path:n=3"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "qmc-exact/1"
     assert payload["lambda_max"] == pytest.approx(1.5, abs=1e-9)
 
 

@@ -134,6 +134,15 @@ def test_bound_rejects_negative_theta():
         params_for(g, {(0, 1): -0.1})
 
 
+def test_parameters_reject_nan_theta():
+    # NaN fails every comparison, so it must not slip through as "not negative",
+    # nor hide a negative angle that follows it
+    with pytest.raises(ValueError, match="theta"):
+        params_for(generate("complete", {"n": 2}), {(0, 1): math.nan})
+    with pytest.raises(ValueError, match="theta"):
+        params_for(generate("path", {"n": 3}), {(0, 1): math.nan, (1, 2): -0.1})
+
+
 def test_bound_never_exceeds_exact():
     rng = np.random.default_rng(4)
     for _ in range(30):

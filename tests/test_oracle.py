@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -55,20 +56,25 @@ def test_simulate_norm_preserved_many_gates():
 
 
 def test_simulate_matches_dense_exponentials():
+    # every ordered letter pair, on end-to-end and interior qubit pairs, at n = 2..5
     rng = np.random.default_rng(11)
-    n = 3
-    z = (1, 0, 1)
-    specs = []
-    for _ in range(5):
-        i, j = sorted(rng.choice(n, size=2, replace=False))
-        letters = tuple(rng.choice(["X", "Y", "Z"], size=2))
-        specs.append(((int(i), int(j)), float(rng.uniform(0, np.pi)), letters))
-    psi = simulate(circuit_of(n, z, specs))
-    state = StateVector.from_bits(z).amplitudes
-    for (i, j), theta, (pi_, pj_) in specs:
-        u = expm(1j * theta * (kron_op(n, {i: pi_, j: pj_})))
-        state = u @ state
-    assert np.allclose(psi.amplitudes, state, atol=1e-12)
+    for n in range(2, 6):
+        edges = list(itertools.combinations(range(n), 2))
+        for letters in itertools.product("XYZ", repeat=2):
+            z = tuple(int(b) for b in rng.integers(0, 2, n))
+            specs = [(edges[k % len(edges)], float(rng.uniform(0, np.pi)), letters)
+                     for k in range(max(10, len(edges)))]
+            psi = simulate(circuit_of(n, z, specs))
+            state = StateVector.from_bits(z).amplitudes
+            for (i, j), theta, (pi_, pj_) in specs:
+                state = expm(1j * theta * kron_op(n, {i: pi_, j: pj_})) @ state
+            assert np.abs(psi.amplitudes - state).max() <= 1e-12, (n, letters)
+
+
+def test_simulate_rejects_nan_angle():
+    # a NaN norm fails no "> tolerance" test, so the check must be written to fail on it
+    with pytest.raises(AssertionError, match="norm"):
+        simulate(circuit_of(2, (0, 1), [((0, 1), math.nan, ("Y", "X"))]))
 
 
 def test_simulate_rejects_oversize():
@@ -179,23 +185,23 @@ def test_moment_matrix_singlet_pairs():
 
 def test_moment_matrix_matches_dense_definition():
     rng = np.random.default_rng(29)
-    n = 3
-    psi = haar_state(n, rng)
-    index = build_index(n)
-    m = moment_matrix_from_state(psi, index)
+    for n in (3, 4):
+        psi = haar_state(n, rng)
+        index = build_index(n)
+        m = moment_matrix_from_state(psi, index)
 
-    def dense_label(label):
-        if label[0] == "unit":
-            return np.eye(2**n, dtype=complex)
-        _, i, j, a = label
-        letter = {1: "X", 2: "Y", 3: "Z"}[a]
-        return kron_op(n, {i: letter, j: letter})
+        def dense_label(label):
+            if label[0] == "unit":
+                return np.eye(2**n, dtype=complex)
+            _, i, j, a = label
+            letter = {1: "X", 2: "Y", 3: "Z"}[a]
+            return kron_op(n, {i: letter, j: letter})
 
-    ops = [dense_label(lab) for lab in index.labels]
-    for s in range(index.size):
-        for t in range(index.size):
-            want = np.real(np.vdot(psi.amplitudes, ops[s] @ ops[t] @ psi.amplitudes))
-            assert m[s, t] == pytest.approx(float(want), abs=1e-11)
+        ops = [dense_label(lab) for lab in index.labels]
+        for s in range(index.size):
+            for t in range(index.size):
+                want = np.real(np.vdot(psi.amplitudes, ops[s] @ ops[t] @ psi.amplitudes))
+                assert m[s, t] == pytest.approx(float(want), abs=1e-11)
 
 
 def test_moment_matrix_feasible_and_psd():
