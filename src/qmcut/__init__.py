@@ -17,7 +17,6 @@ from .graph import Graph, GraphError, InputError, generate, parse_graph, seriali
 from .oracle import (
     QubitLimitError,
     SpectrumResult,
-    StateVector,
     exact_opt,
     expectation,
     moment_matrix_from_state,
@@ -61,7 +60,6 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "SpectrumResult",
-    "StateVector",
     "VectorSolution",
     "alpha_gw",
     "build_certificate",

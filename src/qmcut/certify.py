@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import edge_energy_bound
 from .graph import Graph, InputError
-from .oracle import DEFAULT_QUBIT_LIMIT, pauli_pair_expectations, simulate
+from .oracle import DEFAULT_QUBIT_LIMIT, edge_energies, simulate
 from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
                        compute_gammas, sample_assignment, sample_seeds)
 from .sdp import EPS_EXTRACT, VectorSolution
@@ -234,17 +234,12 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     for sd in sample_seeds(seed, samples):
         assign = sample_assignment(vs, sd)
         if exact_mode:
-            psi = simulate(build_circuit(assign, params, g), limit=sim_limit)
-            for i, j in edges:
-                xx, yy, zz = pauli_pair_expectations(psi, i, j)
-                val = 1.0 - xx - yy - zz
-                sums[(i, j)] += val
-                sq_sums[(i, j)] += val * val
+            vals = edge_energies(simulate(build_circuit(assign, params, g), limit=sim_limit), g)
         else:
-            for i, j in edges:
-                val = edge_energy_bound(params, assign, g, (i, j))
-                sums[(i, j)] += val
-                sq_sums[(i, j)] += val * val
+            vals = [edge_energy_bound(params, assign, g, e) for e in edges]
+        for e, val in zip(edges, vals):
+            sums[e] += val
+            sq_sums[e] += val * val
     rows = []
     worst = math.inf
     for i, j in edges:

@@ -253,6 +253,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _samples(text: str) -> int:
+    """--samples value: the audits need at least one, so it is checked before any solve."""
+    samples = int(text)
+    if samples < 1:
+        raise argparse.ArgumentTypeError(f"samples must be >= 1, got {samples}")
+    return samples
+
+
 def _alpha0(text: str) -> float:
     """--alpha0 value: checked before any solve, as check_alpha0 does."""
     alpha0 = float(text)
@@ -382,7 +390,7 @@ _FLAGS: dict[str, dict] = {
     "--rounds": {"type": int, "default": RunConfig.rounds},
     "--seed": {"type": _seed, "default": RunConfig.seed},
     "--alpha0": {"type": _alpha0, "default": ALPHA0_DEFAULT},
-    "--samples": {"type": int, "default": certify_mod.CUT_SAMPLES},
+    "--samples": {"type": _samples, "default": certify_mod.CUT_SAMPLES},
     "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
     "--max-iterations": {"type": int, "default": SolverConfig.max_iterations},
     "--deterministic": {"action": "store_true",
@@ -445,7 +453,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (OSError, InputError) as exc:
+    # A MemoryError is a request sized past what the host can allocate.
+    except (OSError, InputError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

@@ -23,24 +23,6 @@ class QubitLimitError(InputError):
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Normalized n-qubit pure state; amplitudes indexed little-endian."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def from_bits(cls, bits) -> "StateVector":
-        n = len(bits)
-        amps = np.zeros(2**n, dtype=complex)
-        amps[sum(int(b) << i for i, b in enumerate(bits))] = 1.0
-        return cls(n=n, amplitudes=amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     lambda_max: float
     sector: int       # Hamming weight of the diagonalized sector, n // 2
@@ -70,41 +52,44 @@ def _apply_pauli(amps: np.ndarray, letter: str, qubit: int) -> np.ndarray:
     return (halves * _PHASES[letter][:, None]).reshape(amps.shape)
 
 
-def simulate(circuit, limit: int = DEFAULT_QUBIT_LIMIT) -> StateVector:
+def simulate(circuit, limit: int = DEFAULT_QUBIT_LIMIT) -> np.ndarray:
     """Evolve the circuit's initial bit string through its commuting rotations.
 
     Each gate is exp(i theta P_i Q_j) = cos(theta) I + i sin(theta) P_i Q_j,
-    because (P_i Q_j)^2 = I; the result is independent of gate order.
+    because (P_i Q_j)^2 = I; the result is independent of gate order.  Returns
+    the normalized little-endian amplitudes.
     """
     n = circuit.n
     if n > limit:
         raise QubitLimitError(f"{n} qubits exceeds the simulator limit of {limit}")
-    amps = StateVector.from_bits(circuit.z).amplitudes
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[sum(int(b) << i for i, b in enumerate(circuit.z))] = 1.0
     for gate in circuit.gates:
         (i, j), (p, q) = gate.edge, gate.paulis
         flipped = _apply_pauli(_apply_pauli(amps, p, i), q, j)
         amps = np.cos(gate.theta) * amps + (1j * np.sin(gate.theta)) * flipped
-    state = StateVector(n=n, amplitudes=amps)
-    if not abs(state.norm() - 1.0) <= 1e-12:
-        raise AssertionError(f"statevector norm {state.norm()} is not within 1e-12 of 1")
-    return state
+    norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) <= 1e-12:
+        raise AssertionError(f"statevector norm {norm} is not within 1e-12 of 1")
+    return amps
 
 
-def pauli_pair_expectations(psi: StateVector, i: int, j: int) -> tuple[float, float, float]:
-    """(<X_i X_j>, <Y_i Y_j>, <Z_i Z_j>) for a normalized state: Re <psi|L_i L_j psi>."""
-    amps = psi.amplitudes
-    xx, yy, zz = (float(np.vdot(amps, _apply_pauli(_apply_pauli(amps, L, i), L, j)).real)
-                  for L in "XYZ")
-    return xx, yy, zz
+def edge_energies(amps: np.ndarray, g: Graph) -> list[float]:
+    """<psi| 4 h_e |psi> for each edge, in g.edges order, for normalized amplitudes.
+
+    4 h_ij = I - XX - YY - ZZ = 2 (I - SWAP_ij), so each edge reads
+    2 (1 - Re <psi|SWAP_ij psi>).  As a (2,)*n tensor the amplitudes hold
+    qubit q on axis n - 1 - q, and SWAP_ij swaps the two axes.
+    """
+    n = g.n
+    tensor = amps.reshape((2,) * n)
+    return [2.0 * (1.0 - float(np.vdot(tensor, tensor.swapaxes(n - 1 - i, n - 1 - j)).real))
+            for i, j, _ in g.edges]
 
 
-def expectation(psi: StateVector, g: Graph) -> float:
+def expectation(amps: np.ndarray, g: Graph) -> float:
     """<psi| H |psi> with H = sum_e w_e (I - XX - YY - ZZ)/4."""
-    total = 0.0
-    for i, j, w in g.edges:
-        xx, yy, zz = pauli_pair_expectations(psi, i, j)
-        total += w * (1.0 - xx - yy - zz) / 4.0
-    return total
+    return sum((w * e / 4.0 for (_, _, w), e in zip(g.edges, edge_energies(amps, g))), 0.0)
 
 
 def classical_energy(g: Graph, bits) -> float:
@@ -145,22 +130,22 @@ def exact_opt(g: Graph, limit: int = DEFAULT_QUBIT_LIMIT) -> SpectrumResult:
 _LETTER_FOR_AXIS = {1: "X", 2: "Y", 3: "Z"}
 
 
-def moment_matrix_from_state(psi: StateVector, index: GramIndex) -> np.ndarray:
-    """Symmetrized moment matrix of |psi> over the index's operator labels.
+def moment_matrix_from_state(amps: np.ndarray, index: GramIndex) -> np.ndarray:
+    """Symmetrized moment matrix of the state over the index's operator labels.
 
     Entry (s, t) is <psi|(S T + T S)|psi>/2 = Re <S psi|T psi>, so the matrix
     is the real part of a Gram matrix and therefore PSD; it satisfies every
     relaxation constraint and reproduces the state's energy exactly.
     """
-    if index.n != psi.n:
-        raise ValueError(f"index is for n={index.n} but state has n={psi.n}")
-    applied = np.empty((index.size, psi.amplitudes.size), dtype=complex)
+    if amps.size != 1 << index.n:
+        raise ValueError(f"index is for n={index.n} but the state has {amps.size} amplitudes")
+    applied = np.empty((index.size, amps.size), dtype=complex)
     for row, label in enumerate(index.labels):
         if label[0] == "unit":
-            applied[row] = psi.amplitudes
+            applied[row] = amps
         else:
             _, i, j, a = label
             letter = _LETTER_FOR_AXIS[a]
-            applied[row] = _apply_pauli(_apply_pauli(psi.amplitudes, letter, i), letter, j)
+            applied[row] = _apply_pauli(_apply_pauli(amps, letter, i), letter, j)
     gram = (np.conj(applied) @ applied.T).real
     return (gram + gram.T) / 2.0

@@ -194,11 +194,10 @@ def model_to_json(model: SdpModel) -> str:
 # --------------------------------------------------------------------------- #
 
 # Fixed step parameters of the splitting solver and the final safety checks.
-RHO = 0.5                   # initial penalty parameter (adapted during the run)
+RHO = 0.5                   # penalty parameter
 OVER_RELAXATION = 1.8
 STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
 CHECK_EVERY = 25
-ADAPT_EVERY = 100
 EPS_FEAS = 1e-6             # max constraint residual accepted by solve
 EPS_PSD = 1e-8              # least eigenvalue of M and of G accepted: >= -EPS_PSD
 EPS_EXTRACT = 1e-6          # max |F F^T - G| accepted by extract_vectors
@@ -312,32 +311,24 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
 
     Z = np.eye(d)
     U = np.zeros((d, d))
-    rho = RHO
     alpha = OVER_RELAXATION
     converged = False
     iterations = 0
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        X = project_affine(Z - U + model.objective / rho)
+        X = project_affine(Z - U + model.objective / RHO)
         Xhat = alpha * X + (1.0 - alpha) * Z
         W = Xhat + U
         Z_new = project_psd(W)
         U = W - Z_new
         if it % CHECK_EVERY == 0:
             r = float(np.abs(X - Z_new).max())
-            s = float(rho * np.abs(Z_new - Z).max())
+            s = float(RHO * np.abs(Z_new - Z).max())
             if r <= STOP_TOL and s <= STOP_TOL:
                 Z = Z_new
                 converged = True
                 break
-            if it % ADAPT_EVERY == 0:
-                if r > 10.0 * s:
-                    rho *= 2.0
-                    U /= 2.0
-                elif s > 10.0 * r:
-                    rho /= 2.0
-                    U *= 2.0
         Z = Z_new
 
     # One step to a feasible point.  The identity meets every constraint, so

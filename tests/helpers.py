@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from qmcut import Graph
-from qmcut.oracle import StateVector
 from qmcut.sdp import GramSolution, VectorSolution
 
 PAULI = {
@@ -43,10 +42,16 @@ def dense_hamiltonian(g: Graph) -> np.ndarray:
     return h
 
 
-def haar_state(n: int, rng: np.random.Generator) -> StateVector:
+def basis_state(bits) -> np.ndarray:
+    """Little-endian amplitudes of the computational basis state |bits>."""
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[sum(int(b) << i for i, b in enumerate(bits))] = 1.0
+    return amps
+
+
+def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    amps /= np.linalg.norm(amps)
-    return StateVector(n=n, amplitudes=amps)
+    return amps / np.linalg.norm(amps)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.5,

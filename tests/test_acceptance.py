@@ -28,9 +28,9 @@ from qmcut import (
 )
 from qmcut.cli import RunConfig, report_to_json, run_pipeline
 from qmcut.energy import edge_energy_exact, edge_pauli_terms
-from qmcut.oracle import exact_opt, pauli_pair_expectations, simulate
+from qmcut.oracle import edge_energies, exact_opt, simulate
 from qmcut.rounding import Assignment, EdgeParameters, build_circuit
-from qmcut.sdp import EPS_EXTRACT, constraint_residual
+from qmcut.sdp import EPS_EXTRACT, build_index, constraint_residual
 
 MASTER_SEED = 20260810
 PIPELINE_ROUNDS = 2000
@@ -173,15 +173,17 @@ def test_criterion_5_energy_closed_form():
         params = EdgeParameters(gamma=dict.fromkeys(theta, 0.0), theta=theta, alpha0=0.041)
         assign = Assignment(z=z, r_seed=0)
         psi = simulate(build_circuit(assign, params, g))
-        for i, j, _ in g.edges:
+        index = build_index(g.n)
+        unit_row = moment_matrix_from_state(psi, index)[0]
+        for (i, j, _), energy in zip(g.edges, edge_energies(psi, g)):
             if z[i] == z[j]:
                 continue
             checked_edges += 1
-            xx_o, yy_o, zz_o = pauli_pair_expectations(psi, i, j)
             closed = edge_energy_exact(params, assign, g, (i, j))
-            if abs(closed - (1.0 - xx_o - yy_o - zz_o)) > 1e-9:
+            if abs(closed - energy) > 1e-9:
                 failures.append(f"trial {trial} edge ({i},{j}): closed form off by "
-                                f"{abs(closed - (1 - xx_o - yy_o - zz_o)):.2e}")
+                                f"{abs(closed - energy):.2e}")
+            xx_o, yy_o, zz_o = (unit_row[index.pair_row(i, j, a)] for a in (1, 2, 3))
             xx_f, yy_f, zz_f = edge_pauli_terms(params, assign, g, (i, j))
             if max(abs(xx_f - xx_o), abs(yy_f - yy_o), abs(zz_f - zz_o)) > 1e-9:
                 failures.append(f"trial {trial} edge ({i},{j}): component identity off")

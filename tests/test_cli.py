@@ -214,7 +214,7 @@ def test_negative_seed_is_input_error(command, capsys):
 
 
 def test_internal_value_error_is_not_input_error(monkeypatch):
-    # only InputError and OSError are bad input; any other ValueError is a bug
+    # only InputError, OSError and MemoryError are bad input; any other ValueError is a bug
     # and must not be reported as exit 4
     def broken_solve(model, cfg=None):
         raise ValueError("internal failure")
@@ -228,6 +228,13 @@ def test_json_weight_too_large_for_float_is_input_error(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text('{"edges": [[0, 1, 1' + "0" * 400 + ']]}')
     assert run(["exact", "--input", str(path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_unallocatable_request_is_input_error(capsys):
+    # 10**17 rounds ask sample_seeds for 8e17 bytes, which no host can grant,
+    # so the allocation fails at once instead of being attempted
+    assert run(["pipeline", "--generate", "complete:n=2", "--rounds", str(10**17)]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
 
 
@@ -248,9 +255,10 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["round", "--generate", ER8C, "--alpha0", "-1"],
     ["energy", "--generate", ER8C, "--alpha0", "inf"],
     ["certify", "--generate", ER8C, "--alpha0", "nan"],
+    ["certify", "--generate", ER8C, "--samples", "0"],
     ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
 ], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "bench-alpha0", "round-alpha0",
-        "energy-alpha0", "certify-alpha0", "solve-tol-feas"])
+        "energy-alpha0", "certify-alpha0", "certify-samples", "solve-tol-feas"])
 def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
     def no_solve(model, cfg=None):
         raise AssertionError("solve called for a run that should be rejected")

@@ -13,8 +13,9 @@ from qmcut import (
     total_energy,
 )
 from qmcut.energy import edge_pauli_terms
-from qmcut.oracle import classical_energy, pauli_pair_expectations, simulate
+from qmcut.oracle import classical_energy, edge_energies, moment_matrix_from_state, simulate
 from qmcut.rounding import Assignment, EdgeParameters, build_circuit
+from qmcut.sdp import build_index
 
 
 def params_for(g: Graph, thetas) -> EdgeParameters:
@@ -55,8 +56,7 @@ def test_star_edge_formula_against_oracle():
         got = edge_energy_exact(params, assign, g, (0, 1))
         assert got == pytest.approx(closed, abs=1e-12)
         psi = simulate(build_circuit(assign, params, g))
-        xx, yy, zz = pauli_pair_expectations(psi, 0, 1)
-        assert got == pytest.approx(1 - xx - yy - zz, abs=1e-9)
+        assert got == pytest.approx(edge_energies(psi, g)[0], abs=1e-9)
 
 
 def test_diamond_even_subset_against_oracle():
@@ -67,9 +67,8 @@ def test_diamond_even_subset_against_oracle():
         z = (0, 1) + tuple(int(b) for b in rng.integers(0, 2, 2))
         assign = Assignment(z=z, r_seed=0)
         psi = simulate(build_circuit(assign, params, g))
-        xx, yy, zz = pauli_pair_expectations(psi, 0, 1)
         got = edge_energy_exact(params, assign, g, (0, 1))
-        assert got == pytest.approx(1 - xx - yy - zz, abs=1e-9)
+        assert got == pytest.approx(edge_energies(psi, g)[0], abs=1e-9)
 
 
 def test_pauli_term_identities_against_oracle():
@@ -83,7 +82,8 @@ def test_pauli_term_identities_against_oracle():
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
         assign = Assignment(z=z, r_seed=0)
-        psi = simulate(build_circuit(assign, params, g))
+        index = build_index(n)
+        m = moment_matrix_from_state(simulate(build_circuit(assign, params, g)), index)
         for i, j, _ in g.edges:
             if z[i] == z[j]:
                 continue
@@ -98,10 +98,10 @@ def test_pauli_term_identities_against_oracle():
                 for k in g.neighbors[q] if k != p)
             assert xx == pytest.approx(-s * a_prod, abs=1e-12)
             assert yy == pytest.approx(-s * b_prod, abs=1e-12)
-            oracle = pauli_pair_expectations(psi, i, j)
-            assert xx == pytest.approx(oracle[0], abs=1e-9)
-            assert yy == pytest.approx(oracle[1], abs=1e-9)
-            assert zz == pytest.approx(oracle[2], abs=1e-9)
+            # the unit row of the moment matrix holds Re <psi|L_i L_j psi>
+            assert xx == pytest.approx(m[0, index.pair_row(i, j, 1)], abs=1e-9)
+            assert yy == pytest.approx(m[0, index.pair_row(i, j, 2)], abs=1e-9)
+            assert zz == pytest.approx(m[0, index.pair_row(i, j, 3)], abs=1e-9)
 
 
 def test_exact_rejects_uncut_edge():

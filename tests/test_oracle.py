@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import dense_hamiltonian, haar_state, kron_op, random_graph
+from helpers import basis_state, dense_hamiltonian, haar_state, kron_op, random_graph
 from qmcut import Graph, QubitLimitError, build_model, exact_opt, expectation, generate
-from qmcut.oracle import (
-    StateVector,
-    classical_energy,
-    moment_matrix_from_state,
-    pauli_pair_expectations,
-    simulate,
-)
+from qmcut.oracle import classical_energy, edge_energies, moment_matrix_from_state, simulate
 from qmcut.rounding import Circuit, Gate
 from qmcut.sdp import build_index, constraint_residual
 
@@ -30,7 +24,7 @@ def test_simulate_singlet_example():
     singlet = np.zeros(4, dtype=complex)
     singlet[2] = 1 / np.sqrt(2)   # |q0=0, q1=1>
     singlet[1] = -1 / np.sqrt(2)  # |q0=1, q1=0>
-    assert abs(np.vdot(singlet, psi.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(singlet, psi)) == pytest.approx(1.0, abs=1e-12)
     assert expectation(psi, generate("complete", {"n": 2})) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -39,8 +33,8 @@ def test_simulate_zero_angles_is_identity():
     z = (1, 0, 1, 1)
     gates = [((i, j), 0.0, ("X", "Y")) for i in range(4) for j in range(i + 1, 4)]
     psi = simulate(circuit_of(4, z, gates))
-    assert psi.amplitudes[sum(b << i for i, b in enumerate(z))] == pytest.approx(1.0)
-    assert np.count_nonzero(np.abs(psi.amplitudes) > 1e-15) == 1
+    assert psi[sum(b << i for i, b in enumerate(z))] == pytest.approx(1.0)
+    assert np.count_nonzero(np.abs(psi) > 1e-15) == 1
 
 
 def test_simulate_norm_preserved_many_gates():
@@ -52,7 +46,7 @@ def test_simulate_norm_preserved_many_gates():
         letters = tuple(rng.choice(["X", "Y", "Z"], size=2))
         specs.append(((int(i), int(j)), float(rng.uniform(0, 2 * np.pi)), letters))
     psi = simulate(circuit_of(n, tuple(rng.integers(0, 2, n)), specs))
-    assert abs(psi.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 def test_simulate_matches_dense_exponentials():
@@ -65,10 +59,10 @@ def test_simulate_matches_dense_exponentials():
             specs = [(edges[k % len(edges)], float(rng.uniform(0, np.pi)), letters)
                      for k in range(max(10, len(edges)))]
             psi = simulate(circuit_of(n, z, specs))
-            state = StateVector.from_bits(z).amplitudes
+            state = basis_state(z)
             for (i, j), theta, (pi_, pj_) in specs:
                 state = expm(1j * theta * kron_op(n, {i: pi_, j: pj_})) @ state
-            assert np.abs(psi.amplitudes - state).max() <= 1e-12, (n, letters)
+            assert np.abs(psi - state).max() <= 1e-12, (n, letters)
 
 
 def test_simulate_rejects_nan_angle():
@@ -84,8 +78,8 @@ def test_simulate_rejects_oversize():
 
 def test_expectation_basis_states():
     k2 = generate("complete", {"n": 2})
-    assert expectation(StateVector.from_bits((1, 0)), k2) == pytest.approx(0.5)
-    assert expectation(StateVector.from_bits((0, 0)), k2) == pytest.approx(0.0)
+    assert expectation(basis_state((1, 0)), k2) == pytest.approx(0.5)
+    assert expectation(basis_state((0, 0)), k2) == pytest.approx(0.0)
 
 
 def test_expectation_matches_dense_hamiltonian():
@@ -95,14 +89,15 @@ def test_expectation_matches_dense_hamiltonian():
         g = random_graph(rng, n)
         psi = haar_state(n, rng)
         h = dense_hamiltonian(g)
-        want = float(np.real(np.vdot(psi.amplitudes, h @ psi.amplitudes)))
+        want = float(np.real(np.vdot(psi, h @ psi)))
         assert expectation(psi, g) == pytest.approx(want, abs=1e-10)
-        for i, j, _ in g.edges:
-            xx, yy, zz = pauli_pair_expectations(psi, i, j)
-            for val, letter in ((xx, "X"), (yy, "Y"), (zz, "Z")):
-                op = kron_op(n, {i: letter, j: letter})
-                want_term = float(np.real(np.vdot(psi.amplitudes, op @ psi.amplitudes)))
-                assert val == pytest.approx(want_term, abs=1e-10)
+        energies = edge_energies(psi, g)
+        assert len(energies) == g.num_edges
+        for (i, j, _), got in zip(g.edges, energies):
+            op = np.eye(2**n, dtype=complex)
+            for letter in "XYZ":
+                op -= kron_op(n, {i: letter, j: letter})
+            assert got == pytest.approx(float(np.real(np.vdot(psi, op @ psi))), abs=1e-10)
 
 
 def test_exact_opt_known_instances():
@@ -165,7 +160,7 @@ def test_classical_energy():
 
 
 def test_moment_matrix_computational_basis():
-    psi = StateVector.from_bits((0, 0, 0))
+    psi = basis_state((0, 0, 0))
     index = build_index(3)
     m = moment_matrix_from_state(psi, index)
     for i, j in index.pairs:
@@ -200,7 +195,7 @@ def test_moment_matrix_matches_dense_definition():
         ops = [dense_label(lab) for lab in index.labels]
         for s in range(index.size):
             for t in range(index.size):
-                want = np.real(np.vdot(psi.amplitudes, ops[s] @ ops[t] @ psi.amplitudes))
+                want = np.real(np.vdot(psi, ops[s] @ ops[t] @ psi))
                 assert m[s, t] == pytest.approx(float(want), abs=1e-11)
 
 
@@ -219,4 +214,4 @@ def test_moment_matrix_feasible_and_psd():
 
 def test_moment_matrix_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        moment_matrix_from_state(StateVector.from_bits((0, 1)), build_index(3))
+        moment_matrix_from_state(basis_state((0, 1)), build_index(3))

@@ -208,7 +208,7 @@ def test_build_circuit_zero_angles_fixes_bit_string():
     params = EdgeParameters(gamma=gamma, theta=theta, alpha0=0.041)
     z = (1, 0, 1, 0)
     psi = simulate(build_circuit(Assignment(z=z, r_seed=0), params, g))
-    assert abs(psi.amplitudes[sum(b << i for i, b in enumerate(z))]) == pytest.approx(1.0)
+    assert abs(psi[sum(b << i for i, b in enumerate(z))]) == pytest.approx(1.0)
 
 
 def test_build_circuit_missing_parameter():
