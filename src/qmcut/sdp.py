@@ -10,6 +10,15 @@ group means, and the identity (the moment matrix of the maximally mixed state)
 is feasible: solve starts from it and ends with one step toward it.  Rounding
 needs only the n x n singles Gram, which extraction reads from that column and
 factors; build_model shows why that Gram is PSD without Single labels.
+
+The six permutations of the axes map the constraint set, the PSD cone and the
+objective to themselves, and they fix the identity, so every iterate of solve
+is invariant under them.  In the basis Q = blockdiag(1, I_P (x) [e, f1, f2]),
+with P = n(n-1)/2 pairs, e = (1, 1, 1)/sqrt(3) the axis sum and f1, f2 two axis
+differences, an invariant M is Q diag(T, S, S) Q^T with T of size 1 + P and S
+of size P (Gatermann & Parrilo 2004; de Klerk, Pasechnik & Schrijver 2007).
+So solve iterates on the block form diag(T, S) and lifts only its answer; S
+weighs 2 in the Frobenius norm, ||M||^2 = ||T||^2 + 2 ||S||^2.
 """
 
 from __future__ import annotations
@@ -290,41 +299,154 @@ def constraint_residual(model: SdpModel, M: np.ndarray) -> float:
                for con in model.constraints)
 
 
+SQRT3 = math.sqrt(3.0)      # norm of the axis sum (1, 1, 1)
+
+
+def reduce_blocks(M: np.ndarray) -> np.ndarray:
+    """Block form X = diag(T, S) of a symmetric d x d matrix M, d = 1 + 3P.
+
+    In the basis Q = blockdiag(1, I_P (x) [e, f1, f2]), e = (1, 1, 1)/sqrt(3)
+    and f1, f2 completing it, T is the block of Q^T M Q on Unit and the axis
+    sums e, and S the mean of its two blocks on the axis differences f1, f2.
+    For the 3 x 3 axis block B_kl between pairs k and l:
+    T_00 = M_00, T_0k = sqrt(3) mean_a M[0, (k, a)], T_kl = (sum of B_kl)/3
+    and S_kl = (tr B_kl - T_kl)/2.  lift_blocks(reduce_blocks(M)) is the mean
+    of M over the six permutations of the axes.
+    """
+    P = (len(M) - 1) // 3
+    B = M[1:, 1:].reshape(P, 3, P, 3)
+    X = np.zeros((1 + 2 * P, 1 + 2 * P))
+    T, S = X[:P + 1, :P + 1], X[P + 1:, P + 1:]
+    T[0, 0] = M[0, 0]
+    T[0, 1:] = SQRT3 * M[0, 1:].reshape(P, 3).mean(1)
+    T[1:, 0] = SQRT3 * M[1:, 0].reshape(P, 3).mean(1)
+    T[1:, 1:] = B.sum((1, 3)) / 3.0
+    S[:] = (np.einsum("kala->kl", B) - T[1:, 1:]) / 2.0
+    return X
+
+
+def lift_blocks(X: np.ndarray) -> np.ndarray:
+    """The d x d matrix Q diag(T, S, S) Q^T of the block form X = diag(T, S).
+
+    M_00 = T_00, M[0, (k, a)] = T_0k/sqrt(3), and the axis block between pairs
+    k and l is S_kl I + ((T_kl - S_kl)/3) J; its spectrum is that of T, and
+    that of S twice.
+    """
+    P = (len(X) - 1) // 2
+    T, S = X[:P + 1, :P + 1], X[P + 1:, P + 1:]
+    M = np.empty((1 + 3 * P, 1 + 3 * P))
+    M[0, 0] = T[0, 0]
+    M[0, 1:] = np.repeat(T[0, 1:] / SQRT3, 3)
+    M[1:, 0] = np.repeat(T[1:, 0] / SQRT3, 3)
+    M[1:, 1:] = np.kron(S, np.eye(3)) + np.kron((T[1:, 1:] - S) / 3.0, np.ones((3, 3)))
+    return M
+
+
+def block_projector(index: GramIndex):
+    """affine_projector on block forms: reduce_blocks . project . lift_blocks.
+
+    On an axis-invariant matrix each group of affine_projector has the same
+    mean g_m for the three axes of a pair m = (p, q).  Its n members are
+    T_0m/sqrt(3) (the pair-unit entry), -(T_mm - S_mm)/3 (pair_product, an
+    off-diagonal entry of B_mm) and (T_kl + 2 S_kl)/3 (triple_link, a
+    diagonal entry of B_kl) for the links k = (p, v), l = (v, q).  The
+    projection writes g_m to the group and the fixed entries around it:
+    B_mm = (1 + g_m) I - g_m J and B_kl = g_m I (cross_zero), that is
+    T_0m = sqrt(3) g_m, T_mm = 1 - 2 g_m, S_mm = 1 + g_m and T_kl = S_kl = g_m;
+    then T_00 = 1.  Entries between pairs that share no vertex are left as
+    they are.
+    """
+    n = index.n
+    p, q = np.triu_indices(n, 1)                # the order of index.pairs
+    P = len(p)
+    pair_id = np.zeros((n, n), dtype=int)
+    pair_id[p, q] = pair_id[q, p] = np.arange(P)
+    link_m, v = np.nonzero((np.arange(n) != p[:, None]) & (np.arange(n) != q[:, None]))
+    k, l = pair_id[p[link_m], v], pair_id[v, q[link_m]]
+    m, t = np.arange(P), np.arange(1, P + 1)    # pair m is row t of T and row t + P of S
+    Tk, Tl, Sk, Sl = k + 1, l + 1, k + P + 1, l + P + 1
+
+    def flat(table):
+        """Columns of (row, col, m, *values) entries, each broadcast along its
+        m; (row, col) becomes an index into the raveled block form."""
+        cols = [np.concatenate([np.broadcast_to(entry[i], entry[2].shape) for entry in table])
+                for i in range(len(table[0]))]
+        return (cols[0] * (1 + 2 * P) + cols[1], *cols[2:])
+
+    # (row, col, m, weight): g_m is the sum of weight * X[row, col] over m's members, over n
+    member_at, member_m, member_w = flat([
+        (0, t, m, 1.0 / SQRT3), (t, t, m, -1.0 / 3.0), (t + P, t + P, m, 1.0 / 3.0),
+        (Tk, Tl, link_m, 1.0 / 3.0), (Sk, Sl, link_m, 2.0 / 3.0)])
+    # (row, col, m, base, slope): the projection writes X[row, col] = base + slope * g_m
+    out_at, out_m, out_base, out_slope = flat([
+        (0, t, m, 0.0, SQRT3), (t, 0, m, 0.0, SQRT3), (t, t, m, 1.0, -2.0),
+        (t + P, t + P, m, 1.0, 1.0), (Tk, Tl, link_m, 0.0, 1.0), (Tl, Tk, link_m, 0.0, 1.0),
+        (Sk, Sl, link_m, 0.0, 1.0), (Sl, Sk, link_m, 0.0, 1.0)])
+
+    def project(Y: np.ndarray) -> np.ndarray:
+        X = (Y + Y.T) / 2.0
+        x = X.reshape(-1)                       # a view: writes land in X
+        g = np.bincount(member_m, member_w * x[member_at], P) / n
+        x[out_at] = out_base + out_slope * g[out_m]
+        X[0, 0] = 1.0
+        return X
+
+    return project
+
+
 def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     """Maximize <C, M> over the affine constraint set intersected with the PSD cone.
 
-    Operator splitting with over-relaxation and scaled dual updates: one affine
-    projection (signed group means) and one dense eigendecomposition per
-    iteration.  The last PSD iterate is projected onto the affine set and
-    shifted toward the identity just enough to be PSD, which keeps every
-    equality: M = (1 - t) X + t I.  Deterministic for a fixed config.
+    Operator splitting with over-relaxation and scaled dual updates, run on
+    the block form X = diag(T, S) of M = Q diag(T, S, S) Q^T (reduce_blocks),
+    of size 1 + 2P against d = 1 + 3P.  The start I, the objective C and both projections are
+    invariant under the axis permutations, so every d x d iterate is, and the
+    loop takes the exact image of each d x d step: the affine projection is
+    block_projector (signed group means), and the PSD projection, in M's
+    geometry ||T||^2 + 2 ||S||^2, is one eigh of T and one of S.  The stop rule
+    reads the max-norm of M from the blocks.  The last PSD iterate is lifted
+    to M, projected onto the affine set and shifted toward the identity just
+    enough to be PSD, which keeps every equality: M = (1 - t) X + t I.
+    Deterministic for a fixed config.
     """
     cfg = cfg or SolverConfig()
-    d = model.index.size
-    project_affine = affine_projector(model)
+    P = len(model.index.pairs)
+    blocks = (slice(0, P + 1), slice(P + 1, None))
+    project_affine = block_projector(model.index)
+    C = reduce_blocks(model.objective)
 
     def project_psd(Y: np.ndarray) -> np.ndarray:
-        w, Q = np.linalg.eigh(Y)
-        np.clip(w, 0.0, None, out=w)
-        Z = (Q * w) @ Q.T
+        Z = np.zeros_like(Y)
+        for b in blocks:
+            w, Q = np.linalg.eigh(Y[b, b])
+            np.clip(w, 0.0, None, out=w)
+            Z[b, b] = (Q * w) @ Q.T
         return (Z + Z.T) / 2.0
 
-    Z = np.eye(d)
-    U = np.zeros((d, d))
+    def max_entry(D: np.ndarray) -> float:
+        """max |lift_blocks(D)|: over M_00, M[0, (k, a)] and the diagonal and
+        off-diagonal entries of each axis block."""
+        T, S = D[:P + 1, :P + 1], D[P + 1:, P + 1:]
+        return float(max(abs(T[0, 0]), np.abs(T[0, 1:]).max(initial=0.0) / SQRT3,
+                         np.abs(T[1:, 1:] + 2.0 * S).max(initial=0.0) / 3.0,
+                         np.abs(T[1:, 1:] - S).max(initial=0.0) / 3.0))
+
+    Z = np.eye(1 + 2 * P)
+    U = np.zeros_like(Z)
     alpha = OVER_RELAXATION
     converged = False
     iterations = 0
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        X = project_affine(Z - U + model.objective / RHO)
+        X = project_affine(Z - U + C / RHO)
         Xhat = alpha * X + (1.0 - alpha) * Z
         W = Xhat + U
         Z_new = project_psd(W)
         U = W - Z_new
         if it % CHECK_EVERY == 0:
-            r = float(np.abs(X - Z_new).max())
-            s = float(RHO * np.abs(Z_new - Z).max())
+            r = max_entry(X - Z_new)
+            s = RHO * max_entry(Z_new - Z)
             if r <= STOP_TOL and s <= STOP_TOL:
                 Z = Z_new
                 converged = True
@@ -334,10 +456,10 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     # One step to a feasible point.  The identity meets every constraint, so
     # the segment from X to I stays on the affine set; t is the least step
     # along it that lifts the least eigenvalue w of X to 0.
-    X = project_affine(Z)
+    X = affine_projector(model)(lift_blocks(Z))
     w = float(np.linalg.eigvalsh(X)[0])
     t = -w / (1.0 - w) if w < 0.0 else 0.0
-    M = (1.0 - t) * X + t * np.eye(d)
+    M = (1.0 - t) * X + t * np.eye(model.index.size)
 
     res = Residuals(
         max_constraint=constraint_residual(model, M),
@@ -384,11 +506,10 @@ def extract_vectors(sol: GramSolution) -> VectorSolution:
     [-EPS_PSD, 0) are clamped to zero; anything below -EPS_PSD means the
     solution is not PSD to tolerance and is rejected.
     """
-    index = sol.index
-    G = np.eye(index.n)
-    for i, j in index.pairs:
-        r = index.pair_row(i, j, 1)
-        G[i, j] = G[j, i] = sol.M[r:r + 3, 0].sum() / 3.0
+    n = sol.index.n
+    G = np.eye(n)
+    i, j = np.triu_indices(n, 1)                # the order of index.pairs
+    G[i, j] = G[j, i] = sol.M[1:, 0].reshape(-1, 3).sum(1) / 3.0
     w, Q = np.linalg.eigh(G)
     if w[0] < -EPS_PSD:
         raise SolverError(f"solution is not PSD to tolerance (min eigenvalue {w[0]:.3e})",

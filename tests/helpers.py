@@ -6,10 +6,14 @@ paths (plain Kronecker products) so they can serve as oracles for them.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
 from qmcut import Graph
-from qmcut.sdp import GramSolution, VectorSolution
+from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
+                       GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
+                       affine_projector, constraint_residual)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -91,3 +95,71 @@ def pair_sum_gram(gram: GramSolution) -> np.ndarray:
         for a in (1, 2, 3):
             S[k, index.pair_row(i, j, a)] = 1.0
     return S @ gram.M @ S.T
+
+
+def axis_permuted(M: np.ndarray, perm: tuple[int, int, int]) -> np.ndarray:
+    """M with the axes of every pair relabelled a -> perm[a] (axes 0, 1, 2 here):
+    Pi M Pi^T for the permutation matrix Pi of the Unit+Pair rows."""
+    P = (len(M) - 1) // 3
+    rows = np.concatenate(([0], (1 + 3 * np.arange(P)[:, None] + np.array(perm)).ravel()))
+    return M[np.ix_(rows, rows)]
+
+
+def axis_average(M: np.ndarray) -> np.ndarray:
+    """Mean of M over the six permutations of the axes."""
+    return sum(axis_permuted(M, perm) for perm in permutations(range(3))) / 6.0
+
+
+def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
+    """The splitting solver on the d x d matrix M: the reference that solve,
+    which runs on the axis-permutation blocks, must track step for step, with
+    the same constants and the same ending."""
+    cfg = cfg or SolverConfig()
+    d = model.index.size
+    project_affine = affine_projector(model)
+
+    def project_psd(Y: np.ndarray) -> np.ndarray:
+        w, Q = np.linalg.eigh(Y)
+        np.clip(w, 0.0, None, out=w)
+        Z = (Q * w) @ Q.T
+        return (Z + Z.T) / 2.0
+
+    Z = np.eye(d)
+    U = np.zeros((d, d))
+    alpha = OVER_RELAXATION
+    converged = False
+    iterations = 0
+
+    for it in range(1, cfg.max_iterations + 1):
+        iterations = it
+        X = project_affine(Z - U + model.objective / RHO)
+        Xhat = alpha * X + (1.0 - alpha) * Z
+        W = Xhat + U
+        Z_new = project_psd(W)
+        U = W - Z_new
+        if it % CHECK_EVERY == 0:
+            r = float(np.abs(X - Z_new).max())
+            s = float(RHO * np.abs(Z_new - Z).max())
+            if r <= STOP_TOL and s <= STOP_TOL:
+                Z = Z_new
+                converged = True
+                break
+        Z = Z_new
+
+    X = project_affine(Z)
+    w = float(np.linalg.eigvalsh(X)[0])
+    t = -w / (1.0 - w) if w < 0.0 else 0.0
+    M = (1.0 - t) * X + t * np.eye(d)
+
+    res = Residuals(
+        max_constraint=constraint_residual(model, M),
+        min_eigenvalue=float(np.linalg.eigvalsh(M)[0]),
+        iterations=iterations,
+        converged=converged,
+    )
+    if not converged:
+        raise SolverError("splitting solver did not converge within max_iterations", res)
+    if res.max_constraint > EPS_FEAS or res.min_eigenvalue < -EPS_PSD:
+        raise SolverError("solution violates the feasibility tolerances", res)
+    objective = float(np.sum(model.objective * M))
+    return GramSolution(index=model.index, M=M, objective=objective, residuals=res)

@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 from dataclasses import fields, replace
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,8 @@ import pytest
 import qmcut
 
 from conftest import BENCH_NAMES
-from helpers import haar_state, pair_sum_gram, random_graph
+from helpers import (axis_average, axis_permuted, haar_state, pair_sum_gram, random_graph,
+                     reference_solve)
 from qmcut import (
     Graph,
     SolverConfig,
@@ -27,8 +28,8 @@ from qmcut import (
 from qmcut.graph import parse_generator_spec
 from qmcut.oracle import moment_matrix_from_state, simulate
 from qmcut.rounding import Circuit, Gate, sample_assignment
-from qmcut.sdp import (EPS_EXTRACT, GramSolution, Residuals, affine_projector, constraint_residual,
-                       model_to_json)
+from qmcut.sdp import (EPS_EXTRACT, GramSolution, Residuals, affine_projector, block_projector,
+                       constraint_residual, lift_blocks, model_to_json, reduce_blocks)
 
 
 def expected_constraint_total(n: int) -> int:
@@ -232,8 +233,11 @@ def test_identity_meets_every_constraint(spec):
     assert constraint_residual(model, np.eye(model.index.size)) == 0.0
 
 
-@pytest.mark.parametrize("spec", ["path:n=1", "complete:n=2", "complete:n=4", "path:n=5",
-                                  "erdos_renyi:n=6,p=0.5,seed=2"])
+PROJECTION_SPECS = ["path:n=1", "complete:n=2", "complete:n=4", "path:n=5",
+                    "erdos_renyi:n=6,p=0.5,seed=2"]
+
+
+@pytest.mark.parametrize("spec", PROJECTION_SPECS)
 def test_affine_projection_is_least_squares(spec):
     # reference: y - A^T (A A^T)^-1 (A y - b) over vec(Y), with A built here from
     # the constraints, each off-diagonal coefficient split over (r, c) and (c, r)
@@ -255,6 +259,80 @@ def test_affine_projection_is_least_squares(spec):
         assert np.abs(x - want.reshape(d, d)).max() <= 1e-12
         assert np.abs(project(x) - x).max() <= 1e-12
         assert constraint_residual(model, x) <= 1e-14
+
+
+def random_block_form(rng: np.random.Generator, P: int) -> np.ndarray:
+    """diag(T, S) with random symmetric T of size 1 + P and S of size P."""
+    X = np.zeros((1 + 2 * P, 1 + 2 * P))
+    for b in (slice(0, P + 1), slice(P + 1, None)):
+        Y = rng.standard_normal(X[b, b].shape)
+        X[b, b] = Y + Y.T
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_lift_inverts_reduce_on_axis_invariant_matrices(n):
+    d = build_index(n).size
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        y = rng.standard_normal((d, d))
+        avg = axis_average(y + y.T)
+        assert np.abs(lift_blocks(reduce_blocks(avg)) - avg).max() <= 1e-12
+        # on any symmetric matrix, lift . reduce is the mean over the axis permutations
+        assert np.abs(lift_blocks(reduce_blocks(y + y.T)) - avg).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_lift_spectrum_is_t_and_twice_s(n):
+    P = n * (n - 1) // 2
+    X = random_block_form(np.random.default_rng(10 + n), P)
+    T, S = X[:P + 1, :P + 1], X[P + 1:, P + 1:]
+    want = np.sort(np.concatenate([np.linalg.eigvalsh(T), np.linalg.eigvalsh(S),
+                                   np.linalg.eigvalsh(S)]))
+    assert np.abs(np.linalg.eigvalsh(lift_blocks(X)) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", PROJECTION_SPECS)
+def test_block_projection_is_image_of_affine_projection(spec):
+    model = build_model(parse_generator_spec(spec))
+    project, project_blocks = affine_projector(model), block_projector(model.index)
+    rng = np.random.default_rng(model.index.size)
+    for _ in range(3):
+        X = random_block_form(rng, len(model.index.pairs))
+        want = reduce_blocks(project(lift_blocks(X)))
+        assert np.abs(project_blocks(X) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["path:n=1", "complete:n=2", "path:n=3", "complete:n=3",
+                                  "star:d=3", "cycle:n=5", "erdos_renyi:n=6,p=0.5,seed=2"])
+def test_solve_tracks_the_dense_reference(spec):
+    # the block iterates are the image of the d x d ones, so the stop fires at
+    # the same check and the answers agree to rounding
+    model = build_model(parse_generator_spec(spec))
+    got, want = solve(model), reference_solve(model)
+    assert got.residuals.iterations == want.residuals.iterations
+    assert got.residuals.converged == want.residuals.converged
+    assert abs(got.objective - want.objective) <= 1e-10
+    assert np.abs(got.M - want.M).max() <= 1e-8
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_solution_is_axis_invariant(name, solved):
+    M = solved(name).gram.M
+    for perm in permutations(range(3)):
+        assert np.abs(axis_permuted(M, perm) - M).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_extract_reads_the_pair_unit_column(name, solved):
+    # reference: G read pair by pair through index.pair_row
+    gram = solved(name).gram
+    index = gram.index
+    G = np.eye(index.n)
+    for i, j in index.pairs:
+        r = index.pair_row(i, j, 1)
+        G[i, j] = G[j, i] = gram.M[r:r + 3, 0].sum() / 3.0
+    assert np.array_equal(solved(name).vectors.G, G)
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
