@@ -5,11 +5,12 @@ Unit and Pair({i,j}, a), with a in {1,2,3} standing for the Pauli letters X, Y,
 Z.  The objective and all constraints are linear in M, M is PSD, and feasible
 solutions correspond to vector tuples (v0, v_{ij,a}) via any Gram
 factorization.  Each constraint fixes an entry (the diagonal to 1, others to 0)
-or ties one to the pair-unit column of M, so solve projects onto them by signed
-group means, and the identity (the moment matrix of the maximally mixed state)
-is feasible: solve starts from it and ends with one step toward it.  Rounding
-needs only the n x n singles Gram, which extraction reads from that column and
-factors; build_model shows why that Gram is PSD without Single labels.
+or ties one to the pair-unit column of M, so the orthogonal projection onto them
+sets signed group means, and the identity (the moment matrix of the maximally
+mixed state) is feasible: solve starts from it and ends with one step toward it.
+Rounding needs only the n x n singles Gram, which extraction reads from that
+column and factors; build_model shows why that Gram is PSD without Single
+labels.
 
 The six permutations of the axes map the constraint set, the PSD cone and the
 objective to themselves, and they fix the identity, so every iterate of solve
@@ -17,8 +18,12 @@ is invariant under them.  In the basis Q = blockdiag(1, I_P (x) [e, f1, f2]),
 with P = n(n-1)/2 pairs, e = (1, 1, 1)/sqrt(3) the axis sum and f1, f2 two axis
 differences, an invariant M is Q diag(T, S, S) Q^T with T of size 1 + P and S
 of size P (Gatermann & Parrilo 2004; de Klerk, Pasechnik & Schrijver 2007).
-So solve iterates on the block form diag(T, S) and lifts only its answer; S
-weighs 2 in the Frobenius norm, ||M||^2 = ||T||^2 + 2 ||S||^2.
+So solve iterates, projects and steps toward the identity on the block form
+diag(T, S), and lifts only its answer; S weighs 2 in the Frobenius norm,
+||M||^2 = ||T||^2 + 2 ||S||^2.  The d x d projection and solver, which the
+block ones must track, are test references (tests/helpers.py); at run time
+build_model's constraint list is read only by constraint_residual, the final
+check.
 """
 
 from __future__ import annotations
@@ -263,36 +268,6 @@ class SolverError(RuntimeError):
         self.residuals = residuals
 
 
-def affine_projector(model: SdpModel):
-    """Orthogonal projection of a symmetric matrix onto the constraint set.
-
-    Each constraint fixes one entry or ties one entry, up to sign, to a pair-unit
-    entry M[0, u], and no entry is tied twice; so the projection sets each group,
-    M[0, u] and the entries tied to it, to its signed mean.
-    """
-    fixed, ties = [], []
-    for con in model.constraints:
-        (r, c, w), *tie = con.entries
-        if tie:                                 # w M[r, c] + w_u M[0, u] = 0
-            ties.append((r, c, tie[0][1], -tie[0][2] / w))
-        else:
-            fixed.append((r, c, con.rhs / w))
-    fixed, ties = np.array(fixed), np.array(ties).reshape(-1, 4)
-    (fix_r, fix_c), value = fixed[:, :2].T.astype(int), fixed[:, 2]
-    (tie_r, tie_c, tie_u), sign = ties[:, :3].T.astype(int), ties[:, 3]
-    size = 1.0 + np.bincount(tie_u, minlength=model.index.size)
-
-    def project(Y: np.ndarray) -> np.ndarray:
-        X = (Y + Y.T) / 2.0
-        mean = (X[0] + np.bincount(tie_u, sign * X[tie_r, tie_c], len(X))) / size
-        X[0] = X[:, 0] = mean
-        X[tie_r, tie_c] = X[tie_c, tie_r] = sign * mean[tie_u]
-        X[fix_r, fix_c] = X[fix_c, fix_r] = value
-        return X
-
-    return project
-
-
 def constraint_residual(model: SdpModel, M: np.ndarray) -> float:
     """max over the constraints of |sum_k coeff_k * M[row_k, col_k] - rhs|."""
     return max(abs(float(sum(w * M[r, c] for r, c, w in con.entries)) - con.rhs)
@@ -343,10 +318,14 @@ def lift_blocks(X: np.ndarray) -> np.ndarray:
 
 
 def block_projector(index: GramIndex):
-    """affine_projector on block forms: reduce_blocks . project . lift_blocks.
+    """Orthogonal projection onto the constraint set, on block forms.
 
-    On an axis-invariant matrix each group of affine_projector has the same
-    mean g_m for the three axes of a pair m = (p, q).  Its n members are
+    Each constraint of build_model fixes one entry of M or ties one entry, up
+    to sign, to a pair-unit entry M[0, u], and no entry is tied twice; so the
+    d x d projection sets each group, M[0, u] and the entries tied to it, to
+    its signed mean.  This is its image, reduce_blocks . project . lift_blocks.
+    On an axis-invariant matrix each group has the same mean g_m for the three
+    axes of a pair m = (p, q).  Its n members are
     T_0m/sqrt(3) (the pair-unit entry), -(T_mm - S_mm)/3 (pair_product, an
     off-diagonal entry of B_mm) and (T_kl + 2 S_kl)/3 (triple_link, a
     diagonal entry of B_kl) for the links k = (p, v), l = (v, q).  The
@@ -399,15 +378,17 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
 
     Operator splitting with over-relaxation and scaled dual updates, run on
     the block form X = diag(T, S) of M = Q diag(T, S, S) Q^T (reduce_blocks),
-    of size 1 + 2P against d = 1 + 3P.  The start I, the objective C and both projections are
-    invariant under the axis permutations, so every d x d iterate is, and the
-    loop takes the exact image of each d x d step: the affine projection is
-    block_projector (signed group means), and the PSD projection, in M's
+    of size 1 + 2P against d = 1 + 3P.  The start I, the objective C and both
+    projections are invariant under the axis permutations, so every d x d
+    iterate is, and the loop takes the exact image of each d x d step: the
+    affine projection is block_projector, and the PSD projection, in M's
     geometry ||T||^2 + 2 ||S||^2, is one eigh of T and one of S.  The stop rule
-    reads the max-norm of M from the blocks.  The last PSD iterate is lifted
-    to M, projected onto the affine set and shifted toward the identity just
-    enough to be PSD, which keeps every equality: M = (1 - t) X + t I.
-    Deterministic for a fixed config.
+    reads the max-norm of M from the blocks.  The last PSD iterate is
+    projected onto the affine set and shifted toward the identity just enough
+    to be PSD, which keeps every equality: (1 - t) X + t I, still on the
+    blocks, whose least eigenvalue is that of T and S.  The lift is linear and
+    maps I to I, so M is its lift, and constraint_residual and the eigenvalues
+    of M check it against build_model.  Deterministic for a fixed config.
     """
     cfg = cfg or SolverConfig()
     P = len(model.index.pairs)
@@ -455,11 +436,12 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
 
     # One step to a feasible point.  The identity meets every constraint, so
     # the segment from X to I stays on the affine set; t is the least step
-    # along it that lifts the least eigenvalue w of X to 0.
-    X = affine_projector(model)(lift_blocks(Z))
-    w = float(np.linalg.eigvalsh(X)[0])
+    # along it that lifts the least eigenvalue w of X, over T and S, to 0.
+    X = project_affine(Z)
+    w = min(float(np.linalg.eigvalsh(X[b, b]).min(initial=np.inf))   # S is empty at n = 1
+            for b in blocks)
     t = -w / (1.0 - w) if w < 0.0 else 0.0
-    M = (1.0 - t) * X + t * np.eye(model.index.size)
+    M = lift_blocks((1.0 - t) * X + t * np.eye(len(X)))
 
     res = Residuals(
         max_constraint=constraint_residual(model, M),

@@ -13,7 +13,7 @@ import numpy as np
 from qmcut import Graph
 from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
                        GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
-                       affine_projector, constraint_residual)
+                       constraint_residual)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -110,10 +110,43 @@ def axis_average(M: np.ndarray) -> np.ndarray:
     return sum(axis_permuted(M, perm) for perm in permutations(range(3))) / 6.0
 
 
+def affine_projector(model: SdpModel):
+    """Orthogonal projection of a symmetric d x d matrix onto the constraint set:
+    the reference whose image on block forms is sdp.block_projector.
+
+    Each constraint fixes one entry or ties one entry, up to sign, to a pair-unit
+    entry M[0, u], and no entry is tied twice; so the projection sets each group,
+    M[0, u] and the entries tied to it, to its signed mean.
+    """
+    fixed, ties = [], []
+    for con in model.constraints:
+        (r, c, w), *tie = con.entries
+        if tie:                                 # w M[r, c] + w_u M[0, u] = 0
+            ties.append((r, c, tie[0][1], -tie[0][2] / w))
+        else:
+            fixed.append((r, c, con.rhs / w))
+    fixed, ties = np.array(fixed), np.array(ties).reshape(-1, 4)
+    (fix_r, fix_c), value = fixed[:, :2].T.astype(int), fixed[:, 2]
+    (tie_r, tie_c, tie_u), sign = ties[:, :3].T.astype(int), ties[:, 3]
+    size = 1.0 + np.bincount(tie_u, minlength=model.index.size)
+
+    def project(Y: np.ndarray) -> np.ndarray:
+        X = (Y + Y.T) / 2.0
+        mean = (X[0] + np.bincount(tie_u, sign * X[tie_r, tie_c], len(X))) / size
+        X[0] = X[:, 0] = mean
+        X[tie_r, tie_c] = X[tie_c, tie_r] = sign * mean[tie_u]
+        X[fix_r, fix_c] = X[fix_c, fix_r] = value
+        return X
+
+    return project
+
+
 def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     """The splitting solver on the d x d matrix M: the reference that solve,
     which runs on the axis-permutation blocks, must track step for step, with
-    the same constants and the same ending."""
+    the same constants.  It ends on d x d too: affine_projector, the least
+    eigenvalue of the whole matrix and the step toward I, where solve takes
+    them on the blocks and lifts once."""
     cfg = cfg or SolverConfig()
     d = model.index.size
     project_affine = affine_projector(model)

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,49 @@ def test_pipeline_deterministic_bytes(tmp_path):
     assert run(args + ["--out", str(out1)]) == EXIT_OK
     assert run(args + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_best_is_the_earliest_of_tied_samples(monkeypatch, tmp_path):
+    # energies one ulp apart stand for cuts that tie in exact arithmetic
+    energies = iter([1.0, 1.0 + 2.2e-16])
+    monkeypatch.setattr("qmcut.cli.expectation", lambda psi, g: next(energies))
+    out = tmp_path / "report.json"
+    assert run(["pipeline", "--generate", "complete:n=2", "--rounds", "2",
+                "--deterministic", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["best"]["index"] == 0
+    assert report["best"]["seed"] == report["samples"]["seeds"][0]
+
+
+# The deterministic report of RECORDED_ARGS.  A change that moves a report field
+# re-records it with `qmcut <RECORDED_ARGS> --out tests/data/pipeline_cycle5.json`
+# and states the diff.
+RECORDED_ARGS = ["pipeline", "--generate", "cycle:n=5", "--rounds", "200", "--seed", "7",
+                 "--deterministic"]
+RECORDED_REPORT = Path(__file__).parent / "data" / "pipeline_cycle5.json"
+
+
+def assert_report_matches(got, want, path="report"):
+    """Equal keys, strings, ints, bools and None; floats within 1e-9."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert_report_matches(a, b, f"{path}[{k}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-9, path
+    else:
+        assert got == want, path
+
+
+def test_pipeline_report_matches_recorded(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(RECORDED_ARGS + ["--out", str(out)]) == EXIT_OK
+    assert_report_matches(json.loads(out.read_text()), json.loads(RECORDED_REPORT.read_text()))
 
 
 def test_solve_from_edge_list_file(tmp_path, capsys):

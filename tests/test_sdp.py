@@ -12,8 +12,8 @@ import pytest
 import qmcut
 
 from conftest import BENCH_NAMES
-from helpers import (axis_average, axis_permuted, haar_state, pair_sum_gram, random_graph,
-                     reference_solve)
+from helpers import (affine_projector, axis_average, axis_permuted, haar_state, pair_sum_gram,
+                     random_graph, reference_solve)
 from qmcut import (
     Graph,
     SolverConfig,
@@ -28,7 +28,7 @@ from qmcut import (
 from qmcut.graph import parse_generator_spec
 from qmcut.oracle import moment_matrix_from_state, simulate
 from qmcut.rounding import Circuit, Gate, sample_assignment
-from qmcut.sdp import (EPS_EXTRACT, GramSolution, Residuals, affine_projector, block_projector,
+from qmcut.sdp import (EPS_EXTRACT, GramSolution, Residuals, block_projector,
                        constraint_residual, lift_blocks, model_to_json, reduce_blocks)
 
 
@@ -209,6 +209,9 @@ def test_solve_nonconvergence_raises_with_residuals():
         solve(build_model(generate("cycle", {"n": 5})), cfg)
     assert err.value.residuals.iterations == 10
     assert not err.value.residuals.converged
+    # the step toward the identity leaves a capped run's M feasible all the same
+    assert err.value.residuals.max_constraint <= 1e-12
+    assert err.value.residuals.min_eigenvalue >= -1e-12
 
 
 def test_solver_relaxes_every_state(solved):
