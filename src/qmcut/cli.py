@@ -257,7 +257,7 @@ def _seed(text: str) -> int:
 
 
 def _samples(text: str) -> int:
-    """--samples value: the audits need at least one, so it is checked before any solve."""
+    """--samples value: the ratio audit needs at least one, so it is checked before any solve."""
     samples = int(text)
     if samples < 1:
         raise argparse.ArgumentTypeError(f"samples must be >= 1, got {samples}")
@@ -346,9 +346,7 @@ def cmd_certify(args) -> int:
     if args.input or args.generate:
         _, g, _, _, vs = _solved_vectors(args)
         cert = certify_mod.build_certificate(vs, g, alpha0=args.alpha0,
-                                             cut_samples=args.samples,
-                                             ratio_samples=min(args.samples,
-                                                               certify_mod.RATIO_SAMPLES),
+                                             ratio_samples=args.samples,
                                              seed=args.seed, sim_limit=args.sim_limit)
     else:
         cert = certify_mod.build_certificate(alpha0=args.alpha0)
@@ -393,7 +391,8 @@ _FLAGS: dict[str, dict] = {
     "--rounds": {"type": int, "default": RunConfig.rounds},
     "--seed": {"type": _seed, "default": RunConfig.seed},
     "--alpha0": {"type": _alpha0, "default": ALPHA0_DEFAULT},
-    "--samples": {"type": _samples, "default": certify_mod.CUT_SAMPLES},
+    "--samples": {"type": _samples, "default": certify_mod.RATIO_SAMPLES,
+                  "help": "samples of the per-edge ratio audit"},
     "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
     "--max-iterations": {"type": int, "default": SolverConfig.max_iterations},
     "--deterministic": {"action": "store_true",

@@ -197,18 +197,28 @@ def test_criterion_5_energy_closed_form():
 
 
 def test_criterion_6_cut_probability(solved):
+    # One hyperplane cut on G separates i and j with probability arccos(G_ij)/pi;
+    # the bound (alpha_gw/3)(2 + gamma) is alpha_gw (1 - G_ij)/2.
     t0 = time.perf_counter()
     failures = []
+    agw = alpha_gw()[0]
     for name in BENCH_NAMES:
         inst = solved(name)
-        if inst.graph.num_edges == 0:
-            continue
-        audit = cut_probability_audit(inst.vectors, inst.graph, samples=100_000,
-                                      seed=MASTER_SEED + 2)
+        G = inst.vectors.G
+        audit = cut_probability_audit(inst.vectors, inst.graph)
         if not audit.passed:
             worst = min(audit.rows, key=lambda r: r["margin"])
-            failures.append(f"{name}: edge {worst['edge']} empirical {worst['empirical']:.4f} "
-                            f"below bound {worst['bound']:.4f} - 5 sigma")
+            failures.append(f"{name}: edge {worst['edge']} probability "
+                            f"{worst['probability']:.6f} below bound {worst['bound']:.6f}")
+        if len(audit.rows) != inst.graph.num_edges:
+            failures.append(f"{name}: {len(audit.rows)} rows for {inst.graph.num_edges} edges")
+        for (i, j, _), row in zip(inst.graph.edges, audit.rows):
+            probability = math.acos(float(np.clip(G[i, j], -1.0, 1.0))) / math.pi
+            if row["edge"] != f"{i}-{j}" or row["probability"] != probability:
+                failures.append(f"{name}: edge {i}-{j} probability {row['probability']!r}, "
+                                f"want {probability!r}")
+            if abs(row["bound"] - agw * (1.0 - G[i, j]) / 2.0) > 1e-12:
+                failures.append(f"{name}: edge {i}-{j} bound {row['bound']!r}")
     _finish("criterion 6", "cut probability", failures, time.perf_counter() - t0, None)
 
 

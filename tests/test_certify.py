@@ -1,7 +1,11 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_unit_rows, synthetic_solution
 from qmcut import (
@@ -71,6 +75,16 @@ def test_ratio_constant_rejects_negative_alpha0():
             ratio_constant(bad)
 
 
+def test_ratio_constant_huge_alpha0_is_finite():
+    # 2 * alpha0 overflows; the endpoints gamma = 0 and 1 must not form inf * 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, gamma = ratio_constant(1e308)
+    # Below gamma = 1 both exponentials vanish, leaving (alpha_gw/6)(2 + gamma)/(1 + gamma).
+    assert value == pytest.approx(alpha_gw()[0] / 4.0, abs=1e-6)
+    assert gamma == pytest.approx(1.0, abs=1e-6)
+
+
 def test_ratio_objective_sin_and_surd_forms_agree():
     agw = alpha_gw()[0]
     alpha0 = 0.041
@@ -133,18 +147,33 @@ def test_cut_probability_audit_antipodal_synthetic():
     # G_01 = -1 gives gamma = 1
     vs = synthetic_solution(rows)
     g = Graph.from_edges(2, [(0, 1, 1.0)])
-    audit = cut_probability_audit(vs, g, samples=20_000, seed=3)
+    audit = cut_probability_audit(vs, g)
     row = audit.rows[0]
-    assert row["empirical"] == 1.0
+    assert row["probability"] == 1.0
     assert row["bound"] == pytest.approx(alpha_gw()[0], abs=1e-9)
     assert audit.passed
 
 
 def test_cut_probability_audit_on_solution(solved):
     inst = solved("K2")
-    audit = cut_probability_audit(inst.vectors, inst.graph, samples=20_000, seed=5)
+    audit = cut_probability_audit(inst.vectors, inst.graph)
     assert audit.passed
-    assert audit.rows[0]["empirical"] >= 0.8785 - 5 * math.sqrt(0.25 / 20_000)
+    assert audit.rows[0]["probability"] >= alpha_gw()[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+@example(seed=0, n=2, antipodal=True)  # G_01 rounds to -1 - 2^-52
+def test_cut_probability_audit_on_random_rows(seed, n, antipodal):
+    rows = random_unit_rows(np.random.default_rng(seed), n)
+    if antipodal and n >= 2:
+        rows[1] = -rows[0]
+    g = Graph.from_edges(n, [(i, j, 1.0) for i, j in combinations(range(n), 2)])
+    audit = cut_probability_audit(synthetic_solution(rows), g)
+    assert not math.isnan(audit.margin)
+    assert audit.passed
+    for row in audit.rows:
+        assert 0.0 <= row["probability"] <= 1.0
 
 
 def test_per_edge_ratio_k2(solved):
@@ -161,8 +190,6 @@ def test_per_edge_ratio_k2(solved):
 
 def test_sampled_audits_reject_zero_samples(solved):
     inst = solved("K2")
-    with pytest.raises(ValueError, match="at least one sample"):
-        cut_probability_audit(inst.vectors, inst.graph, samples=0)
     with pytest.raises(ValueError, match="at least one sample"):
         per_edge_ratio_audit(inst.vectors, inst.graph, samples=0)
 
@@ -196,8 +223,7 @@ def test_certificate_constants_only():
 
 def test_certificate_with_instance(solved):
     inst = solved("K13")
-    cert = build_certificate(inst.vectors, inst.graph, cut_samples=20_000,
-                             ratio_samples=2000, seed=11)
+    cert = build_certificate(inst.vectors, inst.graph, ratio_samples=2000, seed=11)
     assert cert.all_passed()
     names = {a.name for a in cert.audits}
     assert {"monogamy", "cut_probability", "per_edge_ratio",

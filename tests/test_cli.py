@@ -327,6 +327,24 @@ def test_invalid_alpha0_is_input_error(command, extra, value, spec, tmp_path, ca
     assert "NaN" not in written and "Infinity" not in written
 
 
+@pytest.mark.parametrize("command, extra", [("certify", []),
+                                            ("pipeline", ["--generate", "complete:n=2",
+                                                          "--rounds", "5"])],
+                         ids=["certify", "pipeline"])
+def test_huge_alpha0_writes_no_nan(command, extra, tmp_path, capsys):
+    # 2 * alpha0 overflows; the guarantee ratio must stay finite.  The
+    # minimizer audit may fail on this input, which is a labelled outcome.
+    out = tmp_path / "out.json"
+    code = run([command, "--alpha0", "1e308", *extra, "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_AUDIT)
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in the written JSON")
+
+    json.loads(out.read_text(), parse_constant=reject)
+    assert "nan" not in capsys.readouterr().out
+
+
 # Each subcommand's flags, a value for each, and one flag it must reject.
 PARSER_TABLE = {
     "solve": ({"--input": "g.txt", "--generate": "path:n=3", "--max-iterations": "10",
