@@ -1,8 +1,8 @@
 """Command-line pipeline: ingest a graph, solve, round, evaluate, certify, bench.
 
-Reports are JSON with a versioned schema; bench emits CSV or typed JSON rows.  In
-deterministic mode wall-clock timings are zeroed so identical configurations
-produce byte-identical outputs.
+Pipeline reports are JSON of schema qmc-report/3, which keeps one seed, not one per
+round; bench emits CSV or typed JSON rows.  In deterministic mode wall-clock
+timings are zeroed so identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alph
 from .sdp import (EPS_FEAS, EPS_PSD, SolverConfig, SolverError, build_model, extract_vectors,
                   model_to_json, solve)
 
-PIPELINE_SCHEMA = "qmc-report/2"
+PIPELINE_SCHEMA = "qmc-report/3"
 SOLVE_SCHEMA = "qmc-solve/1"
 EXACT_SCHEMA = "qmc-exact/1"
 EXIT_OK = 0
@@ -64,7 +64,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """Solve, round cfg.rounds times, evaluate each sample, and assemble a report.
 
     Each round is one hyperplane cut on the n x n singles Gram G that
-    extraction reads from the solution.  Per-sample energies use the
+    extraction reads from the solution; sample k's seed is
+    sample_seeds(config.seed, samples.count)[k], and `qmcut round --seed
+    <best.seed>` redraws the best cut.  Per-sample energies use the
     statevector oracle when the instance fits the simulator and the certified
     lower bound otherwise; the report records which.
     A solve or extraction failure yields a report with status "solver_failure",
@@ -151,11 +153,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "mean": mean,
         "stderr": stderr,
         "energy_kind": "oracle" if exact_mode else "bound",
-        "seeds": seeds,
     }
     report["best"] = {
         "index": best_idx,
-        "seed": seeds[best_idx],
+        "seed": int(seeds[best_idx]),
         "z": best_assign.z_string(),
         "energy": float(energies[best_idx]),
     }

@@ -261,10 +261,13 @@ def parse_generator_spec(spec: str) -> Graph:
     if rest.strip():
         for item in rest.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not _:
                 raise GraphError(f"bad generator parameter {item!r} (expected key=value)")
+            if key in params:
+                raise GraphError(f"repeated generator parameter {key!r}")
             try:
-                params[key.strip()] = float(value)
+                params[key] = float(value)
             except ValueError:
                 raise GraphError(f"bad numeric value in {item!r}") from None
     seed = _int_value("seed", params.pop("seed", 0), low=0)

@@ -79,13 +79,13 @@ class Circuit:
     gates: tuple[Gate, ...]
 
 
-def sample_seeds(master_seed: int, count: int) -> list[int]:
-    """Counter-split per-sample seeds: any single sample is reproducible alone.
+def sample_seeds(master_seed: int, count: int) -> np.ndarray:
+    """Counter-split uint64 per-sample seeds: any single sample is reproducible alone.
 
-    The schedule is prefix-stable: the first k seeds do not depend on count.
+    The schedule is prefix-stable: the first k seeds do not depend on count, so
+    sample k of a pipeline report has seed sample_seeds(config.seed, samples.count)[k].
     """
-    state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
-    return [int(s) for s in state]
+    return np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
 
 
 def sample_assignment(vs: VectorSolution, seed: int) -> Assignment:

@@ -211,14 +211,25 @@ def test_positive_overlap_audit(solved):
             assert row["positive_overlap_sum"] <= 1.0 + 1e-5
 
 
+def test_positive_overlap_sum_of_exactly_one_has_zero_margin():
+    # G_01 = -1 exactly gives gamma = 1, so each endpoint's sum is exactly 1
+    vs = synthetic_solution(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    audit = positive_overlap_audit(vs, Graph.from_edges(2, [(0, 1, 1.0)]))
+    assert [row["positive_overlap_sum"] for row in audit.rows] == [1.0, 1.0]
+    assert [row["slack"] for row in audit.rows] == [0.0, 0.0]
+    assert audit.margin == 0.0
+    assert audit.passed
+
+
 def test_certificate_constants_only():
     cert = build_certificate()
     assert 0.0 < cert.alpha_gw < 1.0
     assert 0.0 < cert.ratio_constant < 1.0
-    assert cert.monogamy_worst_slack is None
+    assert "monogamy" not in {a.name for a in cert.audits}
     assert cert.all_passed()
     payload = cert.to_json_dict()
     assert {"alpha_gw", "ratio_constant", "audits"} <= set(payload)
+    assert "monogamy_worst_slack" not in payload
 
 
 def test_certificate_with_instance(solved):
@@ -228,4 +239,5 @@ def test_certificate_with_instance(solved):
     names = {a.name for a in cert.audits}
     assert {"monogamy", "cut_probability", "per_edge_ratio",
             "positive_overlap_sum", "minimizer_consistency"} <= names
-    assert cert.monogamy_worst_slack >= -1e-5
+    monogamy = next(a for a in cert.audits if a.name == "monogamy")
+    assert monogamy.margin >= -1e-5

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qmcut.cli import EXIT_AUDIT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
+from qmcut.rounding import sample_seeds
 from qmcut.sdp import SolverError
 
 
@@ -18,12 +19,11 @@ def test_pipeline_writes_versioned_report(tmp_path):
                 "--seed", "7", "--deterministic", "--out", str(out)])
     assert code == EXIT_OK
     report = json.loads(out.read_text())
-    assert report["schema"] == "qmc-report/2"
+    assert report["schema"] == "qmc-report/3"
     assert report["status"] == "ok"
     assert report["sdp"]["objective"] == pytest.approx(1.0, abs=1e-5)
     assert report["opt"]["value"] == pytest.approx(1.0, abs=1e-9)
     assert report["samples"]["count"] == 50
-    assert len(report["samples"]["seeds"]) == 50
     assert report["best"]["energy"] <= report["opt"]["value"] + 1e-6
     assert set(report["best"]) == {"index", "seed", "z", "energy"}
     assert report["timings"] is None
@@ -47,7 +47,25 @@ def test_best_is_the_earliest_of_tied_samples(monkeypatch, tmp_path):
                 "--deterministic", "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
     assert report["best"]["index"] == 0
-    assert report["best"]["seed"] == report["samples"]["seeds"][0]
+    assert report["best"]["seed"] == sample_seeds(0, 2)[0]
+
+
+def test_report_size_does_not_grow_with_rounds(tmp_path):
+    rounds = 2000
+    out = tmp_path / "report.json"
+    assert run(["pipeline", "--generate", "cycle:n=5", "--rounds", str(rounds),
+                "--deterministic", "--out", str(out)]) == EXIT_OK
+
+    def lists(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                yield from lists(value)
+        elif isinstance(node, list):
+            yield node
+            for value in node:
+                yield from lists(value)
+
+    assert all(len(found) < rounds for found in lists(json.loads(out.read_text())))
 
 
 # The deterministic report of RECORDED_ARGS.  A change that moves a report field
@@ -301,8 +319,11 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["certify", "--generate", ER8C, "--alpha0", "nan"],
     ["certify", "--generate", ER8C, "--samples", "0"],
     ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
+    ["pipeline", "--generate", "complete:n=3,n=4"],
+    ["exact", "--generate", "complete:n=3,seed=1,seed=2"],
 ], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "bench-alpha0", "round-alpha0",
-        "energy-alpha0", "certify-alpha0", "certify-samples", "solve-tol-feas"])
+        "energy-alpha0", "certify-alpha0", "certify-samples", "solve-tol-feas",
+        "pipeline-repeated-key", "exact-repeated-seed"])
 def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
     def no_solve(model, cfg=None):
         raise AssertionError("solve called for a run that should be rejected")

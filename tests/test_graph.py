@@ -181,3 +181,10 @@ def test_generator_spec_parsing():
     assert parse_generator_spec("complete:n=2").num_edges == 1
     with pytest.raises(GraphError):
         parse_generator_spec("complete:n")
+
+
+@pytest.mark.parametrize("spec", ["complete:n=3,n=4", "complete:n=3,n=3",
+                                  "erdos_renyi:n=8,p=0.4,seed=3,seed=4", "path: n=3,n =3"])
+def test_generator_spec_rejects_repeated_keys(spec):
+    with pytest.raises(GraphError, match="repeated"):
+        parse_generator_spec(spec)

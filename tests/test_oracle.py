@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import basis_state, dense_hamiltonian, haar_state, kron_op, random_graph
 from qmcut import Graph, QubitLimitError, build_model, exact_opt, expectation, generate
+from qmcut.energy import edge_energy_exact
 from qmcut.oracle import classical_energy, edge_energies, moment_matrix_from_state, simulate
-from qmcut.rounding import Circuit, Gate
+from qmcut.rounding import ALPHA0_DEFAULT, Assignment, Circuit, EdgeParameters, Gate, build_circuit
 from qmcut.sdp import build_index, constraint_residual
 
 
@@ -63,6 +66,32 @@ def test_simulate_matches_dense_exponentials():
             for (i, j), theta, (pi_, pj_) in specs:
                 state = expm(1j * theta * kron_op(n, {i: pi_, j: pj_})) @ state
             assert np.abs(psi - state).max() <= 1e-12, (n, letters)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_edge_energy_depends_on_z_only_through_its_cut_bit(data):
+    # Each rounded state's energy is affine in the cut vector: an edge reads one
+    # value when cut (the closed form) and one when uncut, whatever the other bits.
+    n = data.draw(st.integers(2, 7), label="n")
+    pairs = [e for e in itertools.combinations(range(n), 2) if data.draw(st.booleans())]
+    thetas = data.draw(st.lists(st.floats(0.0, math.pi / 4), min_size=len(pairs),
+                                max_size=len(pairs)), label="thetas")
+    g = Graph.from_edges(n, [(i, j, 1.0) for i, j in pairs])
+    params = EdgeParameters(gamma=dict.fromkeys(pairs, 0.0), theta=dict(zip(pairs, thetas)),
+                            alpha0=ALPHA0_DEFAULT)
+    seen = {(e, cut): [] for e in pairs for cut in (False, True)}
+    for z in itertools.product((0, 1), repeat=n):
+        assign = Assignment(z=z, r_seed=0)
+        energies = edge_energies(simulate(build_circuit(assign, params, g)), g)
+        for (i, j), energy in zip(pairs, energies):
+            cut = z[i] != z[j]
+            seen[((i, j), cut)].append(energy)
+            if cut:
+                assert energy == pytest.approx(edge_energy_exact(params, assign, g, (i, j)),
+                                               abs=1e-12)
+    for values in seen.values():
+        assert max(values) - min(values) <= 1e-12
 
 
 def test_simulate_rejects_nan_angle():

@@ -31,7 +31,7 @@ def test_sample_assignment_deterministic():
 @given(st.integers(0, 2**63), st.integers(0, 50), st.integers(0, 50))
 @settings(max_examples=50, deadline=None)
 def test_sample_seeds_prefix_stable(master, k, m):
-    assert sample_seeds(master, k) == sample_seeds(master, k + m)[:k]
+    assert np.array_equal(sample_seeds(master, k), sample_seeds(master, k + m)[:k])
 
 
 def test_sample_assignment_identical_vectors_never_split():
