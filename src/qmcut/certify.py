@@ -5,7 +5,10 @@ golden-section refinement of smooth 1-D objectives.  Instance audits check the
 structural inequalities that the approximation guarantee rests on.  Per-vertex
 monogamy slack, positive-overlap sums and the per-edge cut probability
 arccos(G_ij)/pi are closed forms read from the solution; only the per-edge
-approximation ratio is a Monte-Carlo estimate.
+approximation ratio is a Monte-Carlo estimate.  Above the simulator limit its
+per-edge values are certified bounds that depend on a sample only through
+that edge's cut bit, so the estimate counts cut samples per edge and forms
+each bound once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import edge_energy_bound
+from .energy import cut_values, edge_energy_bound
 from .graph import Graph, InputError
 from .oracle import DEFAULT_QUBIT_LIMIT, edge_energies, simulate
 from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
@@ -208,8 +211,11 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     """Monte-Carlo per-edge ratio E[<4 H_ij>] / (v0 - v_ij).v0 against the target.
 
     Per-sample edge energies are exact (statevector) when the instance fits the
-    simulator, otherwise the certified lower bound is used.  Edges with a
-    vanishing share are skipped and listed.
+    simulator, otherwise the certified lower bound is used.  The bound path
+    keeps every sample's bits in a (samples, n) bit matrix: an edge's bound b
+    is formed once, and its sums are b * count and b^2 * count over the count
+    of samples that cut it.  Edges with a vanishing share are skipped and
+    listed.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -219,15 +225,20 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     sums = dict.fromkeys(edges, 0.0)
     sq_sums = dict.fromkeys(edges, 0.0)
     exact_mode = g.n <= sim_limit
-    for sd in sample_seeds(seed, samples):
+    Z = np.empty((samples, g.n), dtype=bool)
+    for k, sd in enumerate(sample_seeds(seed, samples)):
         assign = sample_assignment(vs, sd)
+        Z[k] = assign.z
         if exact_mode:
             vals = edge_energies(simulate(build_circuit(assign, params, g), limit=sim_limit), g)
-        else:
-            vals = [edge_energy_bound(params, assign, g, e) for e in edges]
-        for e, val in zip(edges, vals):
-            sums[e] += val
-            sq_sums[e] += val * val
+            for e, val in zip(edges, vals):
+                sums[e] += val
+                sq_sums[e] += val * val
+    if not exact_mode:
+        for (i, j), b in zip(edges, cut_values(edge_energy_bound, params, g)):
+            count = int(np.count_nonzero(Z[:, i] != Z[:, j]))
+            sums[(i, j)] = b * count
+            sq_sums[(i, j)] = b * b * count
     rows = []
     worst = math.inf
     for i, j in edges:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify as certify_mod
-from .energy import total_energy
+from .energy import cut_energies, total_energy
 from .graph import Graph, GraphError, InputError, parse_generator_spec, parse_graph
 from .oracle import DEFAULT_QUBIT_LIMIT, exact_opt, expectation, simulate
 from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
@@ -66,9 +66,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
     Each round is one hyperplane cut on the n x n singles Gram G that
     extraction reads from the solution; sample k's seed is
     sample_seeds(config.seed, samples.count)[k], and `qmcut round --seed
-    <best.seed>` redraws the best cut.  Per-sample energies use the
-    statevector oracle when the instance fits the simulator and the certified
-    lower bound otherwise; the report records which.
+    <best.seed>` redraws the best cut.  Every sample's bits go into one
+    (rounds, n) bit matrix, which also gives best.z.  Per-sample energies use
+    the statevector oracle when the instance fits the simulator and the
+    certified lower bound otherwise; the report records which.  The bound is
+    scored from the bit matrix by energy.cut_energies, which forms each edge's
+    cut value once per run; every energy equals total_energy(...).exact_total
+    of its sample.
     A solve or extraction failure yields a report with status "solver_failure",
     the failing stage ("sdp" or "extract") and the residuals.
     """
@@ -133,17 +137,18 @@ def run_pipeline(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     exact_mode = g.n <= cfg.sim_limit
     seeds = sample_seeds(cfg.seed, cfg.rounds)
+    Z = np.empty((cfg.rounds, g.n), dtype=bool)
     energies = np.empty(cfg.rounds)
     for k, seed in enumerate(seeds):
         assign = sample_assignment(vs, seed)
+        Z[k] = assign.z
         if exact_mode:
             psi = simulate(build_circuit(assign, params, g), limit=cfg.sim_limit)
             energies[k] = expectation(psi, g)
-        else:
-            energies[k] = total_energy(params, assign, g).exact_total
+    if not exact_mode:
+        energies = cut_energies(Z, params, g)
     top = float(energies.max())
     best_idx = int(np.argmax(energies >= top - BEST_TIE_TOL * max(1.0, abs(top))))
-    best_assign = sample_assignment(vs, seeds[best_idx])
     timings["round_s"] = time.perf_counter() - t0
 
     mean = float(np.mean(energies))
@@ -157,7 +162,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     report["best"] = {
         "index": best_idx,
         "seed": int(seeds[best_idx]),
-        "z": best_assign.z_string(),
+        "z": "".join(str(b) for b in Z[best_idx].astype(int).tolist()),
         "energy": float(energies[best_idx]),
     }
 

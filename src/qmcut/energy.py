@@ -8,12 +8,21 @@ bound 1 + s(A + B) + AB that the 0.562 guarantee rests on.  _cut_edge_terms is
 the one place these products are formed.  Uncut edges take the trivial lower
 bound 0 (each edge term is PSD).  Energies are carried as <4 H_ij> and divided
 by 4 only when weighted totals are formed.
+
+Both closed forms of a cut edge depend on z only through that edge's cut bit:
+they read the angles of the edge and its neighbours, never another vertex's
+bit, and they are written so that swapping p and q gives the same float.  So a
+caller scoring many samples forms them once per edge per run (cut_values) and
+weights them by the cut bits of each sample (cut_energies).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 from .rounding import Assignment, EdgeParameters
@@ -99,9 +108,13 @@ def _cut_edge_terms(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p
 
 def _cut_edge_energies(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p: int,
                        q: int) -> tuple[float, float]:
-    """(bound, exact) <4 H_pq> of the cut edge (p, q) with z_p = 0."""
+    """(bound, exact) <4 H_pq> of the cut edge (p, q) with z_p = 0.
+
+    Swapping p and q swaps A and B, and A + B and A * B round the same both
+    ways, so both values are the same float for either orientation.
+    """
     s_pq, A, B, even_subset_sum = _cut_edge_terms(params, nbrs, p, q)
-    return 1.0 + s_pq * (A + B) + A * B, 1.0 + s_pq * A + s_pq * B + even_subset_sum
+    return 1.0 + s_pq * (A + B) + A * B, 1.0 + s_pq * (A + B) + even_subset_sum
 
 
 def edge_pauli_terms(params: EdgeParameters, assign: Assignment, g: Graph,
@@ -133,6 +146,33 @@ def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
     if assign.z[i] == assign.z[j]:
         return 0.0
     return _cut_edge_energies(params, g.neighbors, *_orient_cut(assign, edge))[0]
+
+
+def cut_values(edge_value: Callable[[EdgeParameters, Assignment, Graph, tuple[int, int]], float],
+               params: EdgeParameters, g: Graph) -> tuple[float, ...]:
+    """edge_value (edge_energy_exact or edge_energy_bound) of every edge while it is cut.
+
+    One value per edge in g.edges order, read on the assignment that sets only
+    z_i = 1; every sample that cuts the edge gives the same float.
+    """
+    values = []
+    for i, j, _ in g.edges:
+        only_i = Assignment(z=tuple(int(k == i) for k in range(g.n)), r_seed=0)
+        values.append(edge_value(params, only_i, g, (i, j)))
+    return tuple(values)
+
+
+def cut_energies(Z: np.ndarray, params: EdgeParameters, g: Graph) -> np.ndarray:
+    """total_energy(...).exact_total of every row of a (samples, n) bit matrix Z.
+
+    Each edge adds w x / 4 on the rows that cut it, x its exact cut value from
+    cut_values, in g.edges order: total_energy's terms in its order, so each
+    energy is the same float as the per-sample total.
+    """
+    energies = np.zeros(len(Z))
+    for (i, j, w), x in zip(g.edges, cut_values(edge_energy_exact, params, g)):
+        energies += np.where(Z[:, i] != Z[:, j], w * x / 4.0, 0.0)
+    return energies
 
 
 def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEnergyReport:

@@ -96,7 +96,7 @@ def sample_assignment(vs: VectorSolution, seed: int) -> Assignment:
     zero inner product counts as positive.
     """
     r = np.random.default_rng(seed).standard_normal(len(vs.F))
-    z = tuple(int(d >= 0.0) for d in vs.F @ r)
+    z = tuple((vs.F @ r >= 0.0).astype(int).tolist())
     return Assignment(z=z, r_seed=seed)
 
 

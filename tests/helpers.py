@@ -6,11 +6,15 @@ paths (plain Kronecker products) so they can serve as oracles for them.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
 
 from qmcut import Graph
+from qmcut.certify import RATIO_TARGET
+from qmcut.energy import edge_energy_bound, total_energy
+from qmcut.rounding import EdgeParameters, sample_assignment, sample_seeds
 from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
                        GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
                        constraint_residual)
@@ -196,3 +200,41 @@ def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSol
         raise SolverError("solution violates the feasibility tolerances", res)
     objective = float(np.sum(model.objective * M))
     return GramSolution(index=model.index, M=M, objective=objective, residuals=res)
+
+
+def reference_bound_energies(vs: VectorSolution, g: Graph, params: EdgeParameters,
+                             seeds) -> np.ndarray:
+    """The per-sample loop that energy.cut_energies replaces in run_pipeline's
+    bound path: total_energy(...).exact_total of each seed's sample."""
+    return np.array([total_energy(params, sample_assignment(vs, sd), g).exact_total
+                     for sd in seeds])
+
+
+def reference_bound_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: float,
+                               seed: int) -> list[dict]:
+    """per_edge_ratio_audit's rows on its bound path, from the per-sample loop it
+    replaces: edge_energy_bound of every edge in every sample, summed in order."""
+    params = EdgeParameters.from_solution(vs, g, alpha0)
+    edges = [(i, j) for i, j, _ in g.edges]
+    sums = dict.fromkeys(edges, 0.0)
+    sq_sums = dict.fromkeys(edges, 0.0)
+    for sd in sample_seeds(seed, samples):
+        assign = sample_assignment(vs, sd)
+        for e in edges:
+            val = edge_energy_bound(params, assign, g, e)
+            sums[e] += val
+            sq_sums[e] += val * val
+    rows = []
+    for i, j in edges:
+        share = 1.0 - vs.pair_sum_dot_unit(i, j)
+        if share <= 1e-6:
+            rows.append({"edge": f"{i}-{j}", "share": share, "skipped": True})
+            continue
+        mean = sums[(i, j)] / samples
+        var = max(sq_sums[(i, j)] / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
+        sigma = math.sqrt(var / samples) / share
+        ratio = mean / share
+        rows.append({"edge": f"{i}-{j}", "share": share, "ratio": ratio, "sigma": sigma,
+                     "margin": ratio - (RATIO_TARGET - 5.0 * sigma), "skipped": False,
+                     "exact": False})
+    return rows

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unit_rows, synthetic_solution
+from helpers import random_unit_rows, reference_bound_ratio_rows, synthetic_solution
 from qmcut import (
     Graph,
     alpha_gw,
@@ -200,6 +200,28 @@ def test_per_edge_ratio_star(solved):
     assert audit.passed
     for row in audit.rows:
         assert row["ratio"] >= 0.562 - 5 * row["sigma"]
+
+
+@pytest.mark.parametrize("name", ["C5", "K13", "ER8a", "ER8c"])
+def test_bound_ratio_audit_matches_the_per_sample_loop(name, solved):
+    # The bound path sums b * count where the loop added b once per cut sample.
+    # The loop's sums of N terms differ by at most about N * 2^-53 of the ratio,
+    # 2.2e-13 here, and sigma and margin are in the ratio's units.  sigma is
+    # compared on the ratio's scale, not its own: sum(x^2)/N - mean^2 cancels
+    # on edges that are almost always cut.
+    inst = solved(name)
+    g, samples = inst.graph, 2000
+    audit = per_edge_ratio_audit(inst.vectors, g, samples=samples, seed=5, sim_limit=g.n - 1)
+    ref = reference_bound_ratio_rows(inst.vectors, g, samples, ALPHA0_DEFAULT, 5)
+    assert len(audit.rows) == len(ref)
+    for got, want in zip(audit.rows, ref):
+        assert (got["edge"], got["share"], got["skipped"]) == \
+            (want["edge"], want["share"], want["skipped"])
+        if not want["skipped"]:
+            assert got["exact"] is False
+            for key in ("ratio", "sigma", "margin"):
+                assert abs(got[key] - want[key]) <= 1e-12 * want["ratio"], key
+    assert audit.passed == (min(r["margin"] for r in ref if not r["skipped"]) >= 0.0)
 
 
 def test_positive_overlap_audit(solved):

@@ -1,11 +1,16 @@
 import argparse
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import reference_bound_energies
+from qmcut import cli
 from qmcut.cli import EXIT_AUDIT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
-from qmcut.rounding import sample_seeds
+from qmcut.energy import cut_energies
+from qmcut.rounding import EdgeParameters, sample_assignment, sample_seeds
 from qmcut.sdp import SolverError
 
 
@@ -48,6 +53,35 @@ def test_best_is_the_earliest_of_tied_samples(monkeypatch, tmp_path):
     report = json.loads(out.read_text())
     assert report["best"]["index"] == 0
     assert report["best"]["seed"] == sample_seeds(0, 2)[0]
+
+
+@pytest.mark.parametrize("name", ["C5", "K13", "ER8a", "ER8c"])
+def test_bound_energies_equal_the_per_sample_totals(name, solved, monkeypatch):
+    # Above the simulator limit the pipeline scores the bit matrix once per edge;
+    # every energy, and so mean, stderr and best, must equal the per-sample loop.
+    inst = solved(name)
+    g, vs, rounds = inst.graph, inst.vectors, 400
+    monkeypatch.setattr(cli, "solve", lambda model, cfg: inst.gram)
+    seeds = sample_seeds(3, rounds)
+    params = EdgeParameters.from_solution(vs, g)
+    ref = reference_bound_energies(vs, g, params, seeds)
+    Z = np.array([sample_assignment(vs, sd).z for sd in seeds], dtype=bool)
+    assert cut_energies(Z, params, g).tobytes() == ref.tobytes()
+
+    top = float(ref.max())
+    best = int(np.argmax(ref >= top - cli.BEST_TIE_TOL * max(1.0, abs(top))))
+    report = cli.run_pipeline(cli.RunConfig(graph=g, source=name, rounds=rounds, seed=3,
+                                            sim_limit=g.n - 1, deterministic=True))
+    assert report["samples"]["energy_kind"] == "bound"
+    assert report["samples"]["mean"] == float(np.mean(ref))
+    assert report["samples"]["stderr"] == float(np.std(ref, ddof=1) / math.sqrt(rounds))
+    assert report["best"] == {"index": best, "seed": int(seeds[best]),
+                              "z": sample_assignment(vs, seeds[best]).z_string(),
+                              "energy": float(ref[best])}
+    # The statevector path reads best.z from the same bit matrix.
+    report = cli.run_pipeline(cli.RunConfig(graph=g, source=name, rounds=50, seed=3,
+                                            sim_limit=g.n, deterministic=True))
+    assert report["best"]["z"] == sample_assignment(vs, report["best"]["seed"]).z_string()
 
 
 def test_report_size_does_not_grow_with_rounds(tmp_path):

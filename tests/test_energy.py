@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import diamond_graph, random_graph
 from qmcut import (
@@ -12,7 +15,7 @@ from qmcut import (
     generate,
     total_energy,
 )
-from qmcut.energy import edge_pauli_terms
+from qmcut.energy import _cut_edge_energies, edge_pauli_terms
 from qmcut.oracle import classical_energy, edge_energies, moment_matrix_from_state, simulate
 from qmcut.rounding import Assignment, EdgeParameters, build_circuit
 from qmcut.sdp import build_index
@@ -235,3 +238,19 @@ def test_report_serialization():
     assert payload["mode"] == "exact_where_cut"
     assert payload["edges"][0]["edge"] == "0-1"
     assert payload["exact_total"] == pytest.approx(report.exact_total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_edge_energies_do_not_depend_on_orientation(data):
+    # cut_values reads each edge on one orientation and total_energy on whichever
+    # the sample gives, so both closed forms must be the same float either way.
+    n = data.draw(st.integers(2, 8), label="n")
+    pairs = [e for e in itertools.combinations(range(n), 2) if data.draw(st.booleans())]
+    thetas = data.draw(st.lists(st.floats(0.0, math.pi / 4), min_size=len(pairs),
+                                max_size=len(pairs)), label="thetas")
+    g = Graph.from_edges(n, [(i, j, 1.0) for i, j in pairs])
+    params = params_for(g, dict(zip(pairs, thetas)))
+    for p, q in pairs:
+        assert _cut_edge_energies(params, g.neighbors, p, q) == \
+            _cut_edge_energies(params, g.neighbors, q, p)
