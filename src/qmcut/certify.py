@@ -213,9 +213,10 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     Per-sample edge energies are exact (statevector) when the instance fits the
     simulator, otherwise the certified lower bound is used.  The bound path
     keeps every sample's bits in a (samples, n) bit matrix: an edge's bound b
-    is formed once, and its sums are b * count and b^2 * count over the count
-    of samples that cut it.  Edges with a vanishing share are skipped and
-    listed.
+    is formed once, its sum is b * count over the count of samples that cut
+    it, and its sample variance is b^2 p (1 - p) N / (N - 1) with p = count / N,
+    formed from integer counts so that nothing cancels on edges that almost
+    every sample cuts.  Edges with a vanishing share are skipped and listed.
     """
     if samples < 1:
         raise InputError("need at least one sample")
@@ -224,6 +225,7 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     shares = {(i, j): 1.0 - vs.pair_sum_dot_unit(i, j) for i, j in edges}
     sums = dict.fromkeys(edges, 0.0)
     sq_sums = dict.fromkeys(edges, 0.0)
+    variances = {}
     exact_mode = g.n <= sim_limit
     Z = np.empty((samples, g.n), dtype=bool)
     for k, sd in enumerate(sample_seeds(seed, samples)):
@@ -234,11 +236,17 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
             for e, val in zip(edges, vals):
                 sums[e] += val
                 sq_sums[e] += val * val
-    if not exact_mode:
+    dof = max(samples - 1, 1)
+    if exact_mode:
+        for e in edges:
+            mean = sums[e] / samples
+            variances[e] = max(sq_sums[e] / samples - mean * mean, 0.0) * samples / dof
+    else:
         for (i, j), b in zip(edges, cut_values(edge_energy_bound, params, g)):
             count = int(np.count_nonzero(Z[:, i] != Z[:, j]))
             sums[(i, j)] = b * count
-            sq_sums[(i, j)] = b * b * count
+            # b^2 p (1 - p) N / (N - 1) with p = count / N, the integer part exact
+            variances[(i, j)] = b * b * (count * (samples - count) / (samples * dof))
     rows = []
     worst = math.inf
     for i, j in edges:
@@ -247,8 +255,7 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
             rows.append({"edge": f"{i}-{j}", "share": share, "skipped": True})
             continue
         mean = sums[(i, j)] / samples
-        var = max(sq_sums[(i, j)] / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
-        sigma = math.sqrt(var / samples) / share
+        sigma = math.sqrt(variances[(i, j)] / samples) / share
         ratio = mean / share
         margin = ratio - (RATIO_TARGET - 5.0 * sigma)
         worst = min(worst, margin)

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import certify as certify_mod
-from .energy import cut_energies, total_energy
+from .energy import cut_energies, edge_closed_forms, total_energy
 from .graph import Graph, GraphError, InputError, parse_generator_spec, parse_graph
 from .oracle import DEFAULT_QUBIT_LIMIT, exact_opt, expectation, simulate
-from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
+from .rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit, check_alpha0,
                        outcome_json_dict, sample_assignment, sample_seeds)
 from .sdp import (EPS_FEAS, EPS_PSD, SolverConfig, SolverError, build_model, extract_vectors,
                   model_to_json, solve)
@@ -67,12 +67,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
     extraction reads from the solution; sample k's seed is
     sample_seeds(config.seed, samples.count)[k], and `qmcut round --seed
     <best.seed>` redraws the best cut.  Every sample's bits go into one
-    (rounds, n) bit matrix, which also gives best.z.  Per-sample energies use
-    the statevector oracle when the instance fits the simulator and the
-    certified lower bound otherwise; the report records which.  The bound is
-    scored from the bit matrix by energy.cut_energies, which forms each edge's
-    cut value once per run; every energy equals total_energy(...).exact_total
-    of its sample.
+    (rounds, n) bit matrix, which also gives best.z.  One scorer,
+    energy.cut_energies, gives every sample's energy from that matrix and the
+    per-edge closed forms, formed once per run.  When the instance fits the
+    simulator the energies are exact (cut and uncut values; energy_kind
+    "oracle"), and the statevector oracle evaluates the best sample once: its
+    value is best.energy, and a gap from the closed form above 1e-12 of the
+    energy raises AssertionError.  Otherwise uncut edges score 0, so each
+    energy is the certified lower bound total_energy(...).exact_total of its
+    sample (energy_kind "bound").
     A solve or extraction failure yields a report with status "solver_failure",
     the failing stage ("sdp" or "extract") and the residuals.
     """
@@ -138,17 +141,21 @@ def run_pipeline(cfg: RunConfig) -> dict:
     exact_mode = g.n <= cfg.sim_limit
     seeds = sample_seeds(cfg.seed, cfg.rounds)
     Z = np.empty((cfg.rounds, g.n), dtype=bool)
-    energies = np.empty(cfg.rounds)
     for k, seed in enumerate(seeds):
-        assign = sample_assignment(vs, seed)
-        Z[k] = assign.z
-        if exact_mode:
-            psi = simulate(build_circuit(assign, params, g), limit=cfg.sim_limit)
-            energies[k] = expectation(psi, g)
-    if not exact_mode:
-        energies = cut_energies(Z, params, g)
+        Z[k] = sample_assignment(vs, seed).z
+    cut, uncut = edge_closed_forms(params, g)
+    energies = cut_energies(Z, g, cut, uncut if exact_mode else np.zeros_like(uncut))
     top = float(energies.max())
     best_idx = int(np.argmax(energies >= top - BEST_TIE_TOL * max(1.0, abs(top))))
+    best_energy = float(energies[best_idx])
+    if exact_mode:
+        best = Assignment(z=tuple(Z[best_idx].astype(int).tolist()), r_seed=int(seeds[best_idx]))
+        psi = simulate(build_circuit(best, params, g), limit=cfg.sim_limit)
+        oracle = expectation(psi, g)
+        if not abs(oracle - best_energy) <= 1e-12 * max(1.0, abs(oracle)):
+            raise AssertionError(f"best sample: statevector energy {oracle} and closed form "
+                                 f"{best_energy} differ by more than 1e-12")
+        best_energy = oracle
     timings["round_s"] = time.perf_counter() - t0
 
     mean = float(np.mean(energies))
@@ -163,7 +170,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "index": best_idx,
         "seed": int(seeds[best_idx]),
         "z": "".join(str(b) for b in Z[best_idx].astype(int).tolist()),
-        "energy": float(energies[best_idx]),
+        "energy": best_energy,
     }
 
     def ratio(num, den):
@@ -171,9 +178,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     report["ratios"] = {
         "mean_vs_sdp": ratio(mean, gram.objective),
-        "best_vs_sdp": ratio(float(energies[best_idx]), gram.objective),
+        "best_vs_sdp": ratio(best_energy, gram.objective),
         "mean_vs_opt": ratio(mean, opt),
-        "best_vs_opt": ratio(float(energies[best_idx]), opt),
+        "best_vs_opt": ratio(best_energy, opt),
     }
 
     t0 = time.perf_counter()

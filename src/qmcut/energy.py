@@ -4,16 +4,18 @@ A cut edge (p, q), oriented so z_p = 0, has an exact <4 H_pq> in the rotation
 angles of the edges incident to p and q: 1 + s(A + B) + (even-subset sum),
 with s = sin(2 theta_pq) and A, B the cosine products over the other
 neighbours of p and of q.  Keeping only the empty subset, AB, gives the lower
-bound 1 + s(A + B) + AB that the 0.562 guarantee rests on.  _cut_edge_terms is
-the one place these products are formed.  Uncut edges take the trivial lower
-bound 0 (each edge term is PSD).  Energies are carried as <4 H_ij> and divided
-by 4 only when weighted totals are formed.
+bound 1 + s(A + B) + AB that the 0.562 guarantee rests on.  An uncut edge has
+an exact closed form too, 1 - plus * rest in the names of _cut_edge_terms,
+which is the one place these products are formed.  The bound path scores
+uncut edges 0 instead (each edge term is PSD), so its totals stay lower
+bounds.  Energies are carried as <4 H_ij> and divided by 4 only when weighted
+totals are formed.
 
-Both closed forms of a cut edge depend on z only through that edge's cut bit:
-they read the angles of the edge and its neighbours, never another vertex's
-bit, and they are written so that swapping p and q gives the same float.  So a
-caller scoring many samples forms them once per edge per run (cut_values) and
-weights them by the cut bits of each sample (cut_energies).
+Every edge's energy depends on z only through that edge's cut bit
+(edge_closed_forms shows why), and the closed forms are written so that
+swapping p and q gives the same float.  So a caller scoring many samples
+forms each edge's cut and uncut values once per run (edge_closed_forms) and
+picks one of the two by the cut bits of each sample (cut_energies).
 """
 
 from __future__ import annotations
@@ -78,16 +80,20 @@ def _orient_cut(assign: Assignment, edge: tuple[int, int]) -> tuple[int, int]:
 
 
 def _cut_edge_terms(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p: int,
-                    q: int) -> tuple[float, float, float, float]:
-    """(s_pq, A, B, even_subset_sum) of the cut edge (p, q) with z_p = 0.
+                    q: int) -> tuple[float, float, float, float, float, float]:
+    """(s_pq, A, B, even_subset_sum, plus, rest) of the edge (p, q).
 
     With c = cos(2 theta) and s = sin(2 theta):
       A = prod over k in N(p)\\{q} of c_pk,  B = prod over k in N(q)\\{p} of c_kq,
-      even_subset_sum = (1/2) [prod over common k of (c_pk c_kq + s_pk s_kq)
-                               + prod over common k of (c_pk c_kq - s_pk s_kq)]
-                        * (non-common cosine factors of A and B).
-    The product form sums the even-subset expansion exactly while staying
-    finite when some cos(2 theta) vanishes, and costs O(deg) per edge.
+      plus = prod over common k of (c_pk c_kq + s_pk s_kq),
+      minus = prod over common k of (c_pk c_kq - s_pk s_kq),
+      rest = the cosine factors of A and B over neighbours that are not common,
+      even_subset_sum = (1/2) (plus + minus) rest.
+    The cut edge with z_p = 0 reads 1 + s_pq (A + B) + even_subset_sum and the
+    uncut edge 1 - plus rest.  The product form sums the even-subset expansion
+    exactly while staying finite when some cos(2 theta) vanishes, and costs
+    O(deg) per edge.  Swapping p and q swaps A and B and gives the same float
+    for every other term.
     """
     cos_p = {k: math.cos(2.0 * _theta(params, p, k)) for k in nbrs[p] if k != q}
     cos_q = {k: math.cos(2.0 * _theta(params, k, q)) for k in nbrs[q] if k != p}
@@ -103,7 +109,7 @@ def _cut_edge_terms(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p
         minus *= cos_p[k] * cos_q[k] - sp_ * sq_
     rest = math.prod(c for k, c in cos_p.items() if k not in cos_q)
     rest *= math.prod(c for k, c in cos_q.items() if k not in cos_p)
-    return s_pq, A, B, 0.5 * (plus + minus) * rest
+    return s_pq, A, B, 0.5 * (plus + minus) * rest, plus, rest
 
 
 def _cut_edge_energies(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p: int,
@@ -113,7 +119,7 @@ def _cut_edge_energies(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...]
     Swapping p and q swaps A and B, and A + B and A * B round the same both
     ways, so both values are the same float for either orientation.
     """
-    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, nbrs, p, q)
+    s_pq, A, B, even_subset_sum, _, _ = _cut_edge_terms(params, nbrs, p, q)
     return 1.0 + s_pq * (A + B) + A * B, 1.0 + s_pq * (A + B) + even_subset_sum
 
 
@@ -125,7 +131,7 @@ def edge_pauli_terms(params: EdgeParameters, assign: Assignment, g: Graph,
     of _cut_edge_terms.
     """
     p, q = _orient_cut(assign, edge)
-    s_pq, A, B, even_subset_sum = _cut_edge_terms(params, g.neighbors, p, q)
+    s_pq, A, B, even_subset_sum, _, _ = _cut_edge_terms(params, g.neighbors, p, q)
     return -s_pq * A, -s_pq * B, -even_subset_sum
 
 
@@ -150,7 +156,7 @@ def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
 
 def cut_values(edge_value: Callable[[EdgeParameters, Assignment, Graph, tuple[int, int]], float],
                params: EdgeParameters, g: Graph) -> tuple[float, ...]:
-    """edge_value (edge_energy_exact or edge_energy_bound) of every edge while it is cut.
+    """edge_value (such as edge_energy_bound) of every edge while it is cut.
 
     One value per edge in g.edges order, read on the assignment that sets only
     z_i = 1; every sample that cuts the edge gives the same float.
@@ -162,16 +168,44 @@ def cut_values(edge_value: Callable[[EdgeParameters, Assignment, Graph, tuple[in
     return tuple(values)
 
 
-def cut_energies(Z: np.ndarray, params: EdgeParameters, g: Graph) -> np.ndarray:
-    """total_energy(...).exact_total of every row of a (samples, n) bit matrix Z.
+def edge_closed_forms(params: EdgeParameters, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Exact <4 H_e> of every edge while it is cut and while it is not, in g.edges order.
 
-    Each edge adds w x / 4 on the rows that cut it, x its exact cut value from
-    cut_values, in g.edges order: total_energy's terms in its order, so each
-    energy is the same float as the per-sample total.
+    The cut value 1 + s(A + B) + even_subset_sum is the float edge_energy_exact
+    gives, and the uncut value is 1 - plus * rest (_cut_edge_terms).  They are
+    the only two values an edge takes: its energy depends on z only through
+    its cut bit.  Why: V = (X + Y)/sqrt(2) maps X to Y and Y to X under
+    conjugation and |b> to a phase times |1 - b>, so the state drawn with bit k
+    flipped is V_k times the state drawn without the flip, up to a phase
+    (the bit sets the letter of every gate at k).  V_k acts on one qubit, so it
+    leaves <4 h_e> = 2 (1 - <SWAP_e>) alone when k is not on e, and V_p V_q
+    commutes with SWAP_pq, so flipping both ends leaves it alone too.
+    With theta in [0, pi/4], which EdgeParameters guarantees, every factor s,
+    A, B and rest is >= 0, and |c_pk c_kq - s_pk s_kq| <= c_pk c_kq + s_pk s_kq
+    gives |minus| <= plus, so even_subset_sum >= 0.  So cut - uncut =
+    s(A + B) + even_subset_sum + plus * rest >= 0: cutting an edge never lowers
+    its energy.
+    """
+    cut, uncut = [], []
+    for i, j, _ in g.edges:
+        s_ij, A, B, even_subset_sum, plus, rest = _cut_edge_terms(params, g.neighbors, i, j)
+        cut.append(1.0 + s_ij * (A + B) + even_subset_sum)
+        uncut.append(1.0 - plus * rest)
+    return np.array(cut), np.array(uncut)
+
+
+def cut_energies(Z: np.ndarray, g: Graph, cut: np.ndarray, uncut: np.ndarray) -> np.ndarray:
+    """Energy of every row of a (samples, n) bit matrix Z from per-edge values.
+
+    Each edge adds w cut / 4 on the rows that cut it and w uncut / 4 on the
+    others, in g.edges order.  With (cut, uncut) from edge_closed_forms each
+    energy is its sample's exact state energy.  With uncut = 0 it is
+    total_energy(...).exact_total of its sample, the same float: those are
+    total_energy's terms in its order.
     """
     energies = np.zeros(len(Z))
-    for (i, j, w), x in zip(g.edges, cut_values(edge_energy_exact, params, g)):
-        energies += np.where(Z[:, i] != Z[:, j], w * x / 4.0, 0.0)
+    for (i, j, w), c, u in zip(g.edges, cut, uncut):
+        energies += np.where(Z[:, i] != Z[:, j], w * c / 4.0, w * u / 4.0)
     return energies
 
 

@@ -14,7 +14,8 @@ import numpy as np
 from qmcut import Graph
 from qmcut.certify import RATIO_TARGET
 from qmcut.energy import edge_energy_bound, total_energy
-from qmcut.rounding import EdgeParameters, sample_assignment, sample_seeds
+from qmcut.oracle import expectation, simulate
+from qmcut.rounding import EdgeParameters, build_circuit, sample_assignment, sample_seeds
 from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
                        GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
                        constraint_residual)
@@ -207,6 +208,15 @@ def reference_bound_energies(vs: VectorSolution, g: Graph, params: EdgeParameter
     """The per-sample loop that energy.cut_energies replaces in run_pipeline's
     bound path: total_energy(...).exact_total of each seed's sample."""
     return np.array([total_energy(params, sample_assignment(vs, sd), g).exact_total
+                     for sd in seeds])
+
+
+def reference_oracle_energies(vs: VectorSolution, g: Graph, params: EdgeParameters,
+                              seeds) -> np.ndarray:
+    """The per-sample loop that energy.cut_energies replaces in run_pipeline's
+    statevector path: the simulated state energy of each seed's sample."""
+    return np.array([expectation(simulate(build_circuit(sample_assignment(vs, sd), params, g),
+                                          limit=g.n), g)
                      for sd in seeds])
 
 

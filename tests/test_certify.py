@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +30,8 @@ from qmcut.certify import (
     ratio_constant_grid_only,
     ratio_objective,
 )
-from qmcut.rounding import ALPHA0_DEFAULT
+from qmcut.energy import edge_energy_bound
+from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, sample_assignment, sample_seeds
 
 
 def test_alpha_gw_value_and_argmin():
@@ -207,8 +209,8 @@ def test_bound_ratio_audit_matches_the_per_sample_loop(name, solved):
     # The bound path sums b * count where the loop added b once per cut sample.
     # The loop's sums of N terms differ by at most about N * 2^-53 of the ratio,
     # 2.2e-13 here, and sigma and margin are in the ratio's units.  sigma is
-    # compared on the ratio's scale, not its own: sum(x^2)/N - mean^2 cancels
-    # on edges that are almost always cut.
+    # compared on the ratio's scale, not its own: the loop's sum(x^2)/N - mean^2
+    # cancels on edges that are almost always cut.
     inst = solved(name)
     g, samples = inst.graph, 2000
     audit = per_edge_ratio_audit(inst.vectors, g, samples=samples, seed=5, sim_limit=g.n - 1)
@@ -222,6 +224,27 @@ def test_bound_ratio_audit_matches_the_per_sample_loop(name, solved):
             for key in ("ratio", "sigma", "margin"):
                 assert abs(got[key] - want[key]) <= 1e-12 * want["ratio"], key
     assert audit.passed == (min(r["margin"] for r in ref if not r["skipped"]) >= 0.0)
+
+
+def test_bound_ratio_sigma_matches_exact_arithmetic(solved):
+    # ER8a's most-cut edge is cut in 1 978 of 2 000 samples.  There b^2 count/N
+    # - mean^2 cancels and is off by 7.8e-15 of sigma, as 1 - p with p rounded
+    # would be; the variance from integer counts is off by a few ulps.
+    inst = solved("ER8a")
+    g, vs, samples = inst.graph, inst.vectors, 2000
+    audit = per_edge_ratio_audit(vs, g, samples=samples, seed=5, sim_limit=g.n - 1)
+    params = EdgeParameters.from_solution(vs, g)
+    assigns = [sample_assignment(vs, sd) for sd in sample_seeds(5, samples)]
+    counts = [sum(a.z[i] != a.z[j] for a in assigns) for i, j, _ in g.edges]
+    k = int(np.argmax(counts))
+    i, j, _ = g.edges[k]
+    xs = [Fraction(edge_energy_bound(params, a, g, (i, j))) for a in assigns]
+    mean = sum(xs) / samples
+    var = sum((x - mean) ** 2 for x in xs) / (samples - 1)
+    want = math.sqrt(var / samples) / (1.0 - vs.pair_sum_dot_unit(i, j))
+    row = audit.rows[k]
+    assert row["edge"] == f"{i}-{j}" and not row["skipped"]
+    assert abs(row["sigma"] - want) <= 2e-15 * want
 
 
 def test_positive_overlap_audit(solved):

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_bound_energies
+from helpers import reference_bound_energies, reference_oracle_energies
 from qmcut import cli
 from qmcut.cli import EXIT_AUDIT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
-from qmcut.energy import cut_energies
+from qmcut.energy import cut_energies, edge_closed_forms
 from qmcut.rounding import EdgeParameters, sample_assignment, sample_seeds
 from qmcut.sdp import SolverError
 
@@ -44,9 +44,11 @@ def test_pipeline_deterministic_bytes(tmp_path):
 
 
 def test_best_is_the_earliest_of_tied_samples(monkeypatch, tmp_path):
-    # energies one ulp apart stand for cuts that tie in exact arithmetic
-    energies = iter([1.0, 1.0 + 2.2e-16])
-    monkeypatch.setattr("qmcut.cli.expectation", lambda psi, g: next(energies))
+    # energies one ulp apart stand for cuts that tie in exact arithmetic; the
+    # statevector oracle, which checks the best sample, agrees with the first
+    energies = np.array([1.0, 1.0 + 2.2e-16])
+    monkeypatch.setattr("qmcut.cli.cut_energies", lambda Z, g, cut, uncut: energies)
+    monkeypatch.setattr("qmcut.cli.expectation", lambda psi, g: 1.0)
     out = tmp_path / "report.json"
     assert run(["pipeline", "--generate", "complete:n=2", "--rounds", "2",
                 "--deterministic", "--out", str(out)]) == EXIT_OK
@@ -66,7 +68,8 @@ def test_bound_energies_equal_the_per_sample_totals(name, solved, monkeypatch):
     params = EdgeParameters.from_solution(vs, g)
     ref = reference_bound_energies(vs, g, params, seeds)
     Z = np.array([sample_assignment(vs, sd).z for sd in seeds], dtype=bool)
-    assert cut_energies(Z, params, g).tobytes() == ref.tobytes()
+    cut, _ = edge_closed_forms(params, g)
+    assert cut_energies(Z, g, cut, np.zeros_like(cut)).tobytes() == ref.tobytes()
 
     top = float(ref.max())
     best = int(np.argmax(ref >= top - cli.BEST_TIE_TOL * max(1.0, abs(top))))
@@ -82,6 +85,46 @@ def test_bound_energies_equal_the_per_sample_totals(name, solved, monkeypatch):
     report = cli.run_pipeline(cli.RunConfig(graph=g, source=name, rounds=50, seed=3,
                                             sim_limit=g.n, deterministic=True))
     assert report["best"]["z"] == sample_assignment(vs, report["best"]["seed"]).z_string()
+
+
+@pytest.mark.parametrize("name", ["K2", "P3", "K3", "K13", "C5", "ER8a", "ER8b", "ER8c"])
+def test_statevector_energies_match_the_per_sample_oracle(name, solved, monkeypatch):
+    # Within sim_limit the pipeline scores the bit matrix from each edge's cut and
+    # uncut closed forms; every energy must match the simulated state, and best
+    # may move only between samples that tie within BEST_TIE_TOL.
+    inst = solved(name)
+    g, vs, rounds = inst.graph, inst.vectors, 400
+    monkeypatch.setattr(cli, "solve", lambda model, cfg: inst.gram)
+    scored = []
+
+    def spy(*args):
+        scored.append(cut_energies(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(cli, "cut_energies", spy)
+    seeds = sample_seeds(3, rounds)
+    ref = reference_oracle_energies(vs, g, EdgeParameters.from_solution(vs, g), seeds)
+    report = cli.run_pipeline(cli.RunConfig(graph=g, source=name, rounds=rounds, seed=3,
+                                            deterministic=True))
+    assert report["samples"]["energy_kind"] == "oracle"
+    assert len(scored) == 1 and np.abs(scored[0] - ref).max() <= 1e-12
+
+    top = float(ref.max())
+    tie = cli.BEST_TIE_TOL * max(1.0, abs(top))
+    want = int(np.argmax(ref >= top - tie))
+    got = report["best"]["index"]
+    assert got == want or abs(ref[got] - ref[want]) <= tie
+    assert report["best"] == {"index": got, "seed": int(seeds[got]),
+                              "z": sample_assignment(vs, seeds[got]).z_string(),
+                              "energy": float(ref[got])}
+
+
+def test_best_sample_disagreeing_with_the_oracle_raises(monkeypatch):
+    monkeypatch.setattr("qmcut.cli.expectation", lambda psi, g: 0.5 + 1e-9)
+    cfg = cli.RunConfig(graph=cli.parse_generator_spec("complete:n=2"), source="K2",
+                        rounds=5, deterministic=True)
+    with pytest.raises(AssertionError, match="statevector energy"):
+        cli.run_pipeline(cfg)
 
 
 def test_report_size_does_not_grow_with_rounds(tmp_path):

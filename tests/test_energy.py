@@ -15,7 +15,7 @@ from qmcut import (
     generate,
     total_energy,
 )
-from qmcut.energy import _cut_edge_energies, edge_pauli_terms
+from qmcut.energy import _cut_edge_energies, edge_closed_forms, edge_pauli_terms
 from qmcut.oracle import classical_energy, edge_energies, moment_matrix_from_state, simulate
 from qmcut.rounding import Assignment, EdgeParameters, build_circuit
 from qmcut.sdp import build_index
@@ -254,3 +254,23 @@ def test_cut_edge_energies_do_not_depend_on_orientation(data):
     for p, q in pairs:
         assert _cut_edge_energies(params, g.neighbors, p, q) == \
             _cut_edge_energies(params, g.neighbors, q, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_edge_closed_forms_match_the_statevector(data):
+    # An edge's energy depends on z only through its cut bit: the cut value when
+    # cut, the uncut value otherwise, and cutting it never lowers it.
+    n = data.draw(st.integers(2, 10), label="n")
+    pairs = [e for e in itertools.combinations(range(n), 2) if data.draw(st.booleans())]
+    thetas = data.draw(st.lists(st.floats(0.0, math.pi / 4), min_size=len(pairs),
+                                max_size=len(pairs)), label="thetas")
+    z = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="z"))
+    g = Graph.from_edges(n, [(i, j, 1.0) for i, j in pairs])
+    params = params_for(g, dict(zip(pairs, thetas)))
+    cut, uncut = edge_closed_forms(params, g)
+    energies = edge_energies(simulate(build_circuit(Assignment(z=z, r_seed=0), params, g),
+                                      limit=n), g)
+    for (i, j, _), c, u, energy in zip(g.edges, cut, uncut, energies):
+        assert (c if z[i] != z[j] else u) == pytest.approx(energy, abs=1e-12)
+        assert c - u >= 0.0
