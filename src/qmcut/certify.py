@@ -5,10 +5,10 @@ golden-section refinement of smooth 1-D objectives.  Instance audits check the
 structural inequalities that the approximation guarantee rests on.  Per-vertex
 monogamy slack, positive-overlap sums and the per-edge cut probability
 arccos(G_ij)/pi are closed forms read from the solution; only the per-edge
-approximation ratio is a Monte-Carlo estimate.  Above the simulator limit its
-per-edge values are certified bounds that depend on a sample only through
-that edge's cut bit, so the estimate counts cut samples per edge and forms
-each bound once.
+approximation ratio is a Monte-Carlo estimate.  Its per-edge values depend on
+a sample only through that edge's cut bit, so it counts cut samples per edge
+and forms each edge's cut and uncut values once: closed forms, checked once on
+the statevector within the simulator limit, and certified bounds above it.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import cut_values, edge_energy_bound
+from .energy import cut_values, edge_closed_forms, edge_energy_bound
 from .graph import Graph, InputError
 from .oracle import DEFAULT_QUBIT_LIMIT, edge_energies, simulate
-from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
+from .rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit, check_alpha0,
                        compute_gammas, sample_assignment, sample_seeds)
 from .sdp import EPS_EXTRACT, VectorSolution
 
@@ -210,52 +210,49 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
                          sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Audit:
     """Monte-Carlo per-edge ratio E[<4 H_ij>] / (v0 - v_ij).v0 against the target.
 
-    Per-sample edge energies are exact (statevector) when the instance fits the
-    simulator, otherwise the certified lower bound is used.  The bound path
-    keeps every sample's bits in a (samples, n) bit matrix: an edge's bound b
-    is formed once, its sum is b * count over the count of samples that cut
-    it, and its sample variance is b^2 p (1 - p) N / (N - 1) with p = count / N,
-    formed from integer counts so that nothing cancels on edges that almost
-    every sample cuts.  Edges with a vanishing share are skipped and listed.
+    An edge takes one value c in every sample that cuts it and one value u in
+    the others: the exact closed forms (edge_closed_forms) within the simulator
+    limit, the certified bound edge_energy_bound and u = 0 above it.  Of N
+    samples, count cut the edge; its mean is (u (N - count) + c count) / N and
+    its variance (c - u)^2 count (N - count) / (N (N - 1)), from integer counts
+    so that nothing cancels on edges that almost every sample cuts.  Within
+    the limit the statevector checks the closed forms on the first sample, and
+    a gap above 1e-12 raises AssertionError; once suffices, since c and u do
+    not depend on the sample.  Edges with a vanishing share are skipped.
     """
     if samples < 1:
         raise InputError("need at least one sample")
     params = EdgeParameters.from_solution(vs, g, alpha0)
-    edges = [(i, j) for i, j, _ in g.edges]
-    shares = {(i, j): 1.0 - vs.pair_sum_dot_unit(i, j) for i, j in edges}
-    sums = dict.fromkeys(edges, 0.0)
-    sq_sums = dict.fromkeys(edges, 0.0)
-    variances = {}
-    exact_mode = g.n <= sim_limit
+    seeds = sample_seeds(seed, samples)
     Z = np.empty((samples, g.n), dtype=bool)
-    for k, sd in enumerate(sample_seeds(seed, samples)):
-        assign = sample_assignment(vs, sd)
-        Z[k] = assign.z
-        if exact_mode:
-            vals = edge_energies(simulate(build_circuit(assign, params, g), limit=sim_limit), g)
-            for e, val in zip(edges, vals):
-                sums[e] += val
-                sq_sums[e] += val * val
-    dof = max(samples - 1, 1)
+    for k, sd in enumerate(seeds):
+        Z[k] = sample_assignment(vs, sd).z
+    exact_mode = g.n <= sim_limit
     if exact_mode:
-        for e in edges:
-            mean = sums[e] / samples
-            variances[e] = max(sq_sums[e] / samples - mean * mean, 0.0) * samples / dof
+        cut, uncut = edge_closed_forms(params, g)
+        first = Assignment(z=tuple(Z[0].astype(int).tolist()), r_seed=int(seeds[0]))
+        simulated = edge_energies(simulate(build_circuit(first, params, g), limit=sim_limit), g)
+        for (i, j, _), c, u, value in zip(g.edges, cut, uncut, simulated):
+            closed = c if first.z[i] != first.z[j] else u
+            if not abs(value - closed) <= 1e-12 * max(1.0, abs(value)):
+                raise AssertionError(f"first sample, edge {i}-{j}: statevector energy {value} "
+                                     f"and closed form {closed} differ by more than 1e-12")
     else:
-        for (i, j), b in zip(edges, cut_values(edge_energy_bound, params, g)):
-            count = int(np.count_nonzero(Z[:, i] != Z[:, j]))
-            sums[(i, j)] = b * count
-            # b^2 p (1 - p) N / (N - 1) with p = count / N, the integer part exact
-            variances[(i, j)] = b * b * (count * (samples - count) / (samples * dof))
+        cut = np.array(cut_values(edge_energy_bound, params, g))
+        uncut = np.zeros_like(cut)
+    dof = max(samples - 1, 1)
     rows = []
     worst = math.inf
-    for i, j in edges:
-        share = shares[(i, j)]
+    for (i, j, _), c, u in zip(g.edges, cut.tolist(), uncut.tolist()):
+        count = int(np.count_nonzero(Z[:, i] != Z[:, j]))
+        share = 1.0 - vs.pair_sum_dot_unit(i, j)
         if share <= 1e-6:
             rows.append({"edge": f"{i}-{j}", "share": share, "skipped": True})
             continue
-        mean = sums[(i, j)] / samples
-        sigma = math.sqrt(variances[(i, j)] / samples) / share
+        mean = (u * (samples - count) + c * count) / samples
+        # (c - u)^2 p (1 - p) N / (N - 1) with p = count / N, the integer part exact
+        variance = (c - u) * (c - u) * (count * (samples - count) / (samples * dof))
+        sigma = math.sqrt(variance / samples) / share
         ratio = mean / share
         margin = ratio - (RATIO_TARGET - 5.0 * sigma)
         worst = min(worst, margin)

@@ -39,6 +39,8 @@ EXIT_INPUT = 4
 # earliest sample within this relative distance of the top, and a rounding-level
 # change in the solution cannot move it between tied cuts.
 BEST_TIE_TOL = 1e-12
+# The largest count of rounds or audit samples whose uint64 seeds numpy can size.
+MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -55,8 +57,8 @@ class RunConfig:
 
     def __post_init__(self):
         # Checked here, before the solve; run_pipeline first uses them after it.
-        if not 1 <= self.rounds <= np.iinfo(np.intp).max:
-            raise InputError(f"rounds must be between 1 and {np.iinfo(np.intp).max}")
+        if not 1 <= self.rounds <= MAX_SAMPLES:
+            raise InputError(f"rounds must be between 1 and {MAX_SAMPLES}")
         check_alpha0(self.alpha0)
 
 
@@ -272,8 +274,8 @@ def _seed(text: str) -> int:
 def _samples(text: str) -> int:
     """--samples value: the ratio audit needs at least one, so it is checked before any solve."""
     samples = int(text)
-    if samples < 1:
-        raise argparse.ArgumentTypeError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
     return samples
 
 

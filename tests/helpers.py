@@ -14,7 +14,7 @@ import numpy as np
 from qmcut import Graph
 from qmcut.certify import RATIO_TARGET
 from qmcut.energy import edge_energy_bound, total_energy
-from qmcut.oracle import expectation, simulate
+from qmcut.oracle import edge_energies, expectation, simulate
 from qmcut.rounding import EdgeParameters, build_circuit, sample_assignment, sample_seeds
 from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
                        GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
@@ -220,18 +220,24 @@ def reference_oracle_energies(vs: VectorSolution, g: Graph, params: EdgeParamete
                      for sd in seeds])
 
 
-def reference_bound_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: float,
-                               seed: int) -> list[dict]:
-    """per_edge_ratio_audit's rows on its bound path, from the per-sample loop it
-    replaces: edge_energy_bound of every edge in every sample, summed in order."""
+def reference_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: float,
+                         seed: int, exact: bool) -> list[dict]:
+    """per_edge_ratio_audit's rows from the per-sample loop it replaces: every
+    edge's value in every sample, summed in order.  The values are the
+    simulated state's edge energies when exact, else edge_energy_bound.  The
+    variance is sum(x^2)/N - mean^2, which cancels on edges that are almost
+    always cut."""
     params = EdgeParameters.from_solution(vs, g, alpha0)
     edges = [(i, j) for i, j, _ in g.edges]
     sums = dict.fromkeys(edges, 0.0)
     sq_sums = dict.fromkeys(edges, 0.0)
     for sd in sample_seeds(seed, samples):
         assign = sample_assignment(vs, sd)
-        for e in edges:
-            val = edge_energy_bound(params, assign, g, e)
+        if exact:
+            vals = edge_energies(simulate(build_circuit(assign, params, g), limit=g.n), g)
+        else:
+            vals = [edge_energy_bound(params, assign, g, e) for e in edges]
+        for e, val in zip(edges, vals):
             sums[e] += val
             sq_sums[e] += val * val
     rows = []
@@ -246,5 +252,5 @@ def reference_bound_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha
         ratio = mean / share
         rows.append({"edge": f"{i}-{j}", "share": share, "ratio": ratio, "sigma": sigma,
                      "margin": ratio - (RATIO_TARGET - 5.0 * sigma), "skipped": False,
-                     "exact": False})
+                     "exact": exact})
     return rows

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unit_rows, reference_bound_ratio_rows, synthetic_solution
+from helpers import random_unit_rows, reference_ratio_rows, synthetic_solution
 from qmcut import (
     Graph,
     alpha_gw,
@@ -31,7 +31,9 @@ from qmcut.certify import (
     ratio_objective,
 )
 from qmcut.energy import edge_energy_bound
-from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, sample_assignment, sample_seeds
+from qmcut.oracle import edge_energies, simulate
+from qmcut.rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, sample_assignment,
+                            sample_seeds)
 
 
 def test_alpha_gw_value_and_argmin():
@@ -180,14 +182,19 @@ def test_cut_probability_audit_on_random_rows(seed, n, antipodal):
 
 def test_per_edge_ratio_k2(solved):
     inst = solved("K2")
-    audit = per_edge_ratio_audit(inst.vectors, inst.graph, samples=500, seed=7)
-    row = audit.rows[0]
-    assert not row["skipped"]
+    g = inst.graph
     # gamma = 1: always cut, fixed angle, so the ratio is deterministic
     theta = math.acos(math.exp(-0.041)) / 2.0
     want = (2.0 + 2.0 * math.sin(2 * theta)) / 4.0
-    assert row["ratio"] == pytest.approx(want, abs=1e-4)
-    assert audit.passed
+    for sim_limit in (g.n, g.n - 1):     # statevector, then bound
+        audit = per_edge_ratio_audit(inst.vectors, g, samples=500, seed=7, sim_limit=sim_limit)
+        row = audit.rows[0]
+        assert not row["skipped"]
+        assert row["exact"] is (sim_limit == g.n)
+        assert row["ratio"] == pytest.approx(want, abs=1e-4)
+        # all 500 samples cut the edge, so they all have the same value
+        assert row["sigma"] == 0.0
+        assert audit.passed
 
 
 def test_sampled_audits_reject_zero_samples(solved):
@@ -204,47 +211,70 @@ def test_per_edge_ratio_star(solved):
         assert row["ratio"] >= 0.562 - 5 * row["sigma"]
 
 
-@pytest.mark.parametrize("name", ["C5", "K13", "ER8a", "ER8c"])
-def test_bound_ratio_audit_matches_the_per_sample_loop(name, solved):
-    # The bound path sums b * count where the loop added b once per cut sample.
-    # The loop's sums of N terms differ by at most about N * 2^-53 of the ratio,
-    # 2.2e-13 here, and sigma and margin are in the ratio's units.  sigma is
-    # compared on the ratio's scale, not its own: the loop's sum(x^2)/N - mean^2
-    # cancels on edges that are almost always cut.
+# The bound cases keep the bare instance name as their id.
+@pytest.mark.parametrize("name, exact", [
+    pytest.param(name, exact, id=f"{name}-statevector" if exact else name)
+    for exact in (False, True) for name in ("C5", "K13", "ER8a", "ER8c")])
+def test_bound_ratio_audit_matches_the_per_sample_loop(name, exact, solved):
+    # The audit adds c * count where the loop added c once per cut sample, and
+    # in statevector mode the loop's simulated values differ from the closed
+    # forms by a few ulps.  The loop's sums of N terms differ by at most about
+    # N * 2^-53 of the ratio, 2.2e-13 here, and sigma and margin are in the
+    # ratio's units.  sigma is compared on the ratio's scale, not its own: the
+    # loop's sum(x^2)/N - mean^2 cancels on edges that are almost always cut.
     inst = solved(name)
     g, samples = inst.graph, 2000
-    audit = per_edge_ratio_audit(inst.vectors, g, samples=samples, seed=5, sim_limit=g.n - 1)
-    ref = reference_bound_ratio_rows(inst.vectors, g, samples, ALPHA0_DEFAULT, 5)
+    audit = per_edge_ratio_audit(inst.vectors, g, samples=samples, seed=5,
+                                 sim_limit=g.n if exact else g.n - 1)
+    ref = reference_ratio_rows(inst.vectors, g, samples, ALPHA0_DEFAULT, 5, exact)
     assert len(audit.rows) == len(ref)
     for got, want in zip(audit.rows, ref):
         assert (got["edge"], got["share"], got["skipped"]) == \
             (want["edge"], want["share"], want["skipped"])
         if not want["skipped"]:
-            assert got["exact"] is False
+            assert got["exact"] is exact
             for key in ("ratio", "sigma", "margin"):
                 assert abs(got[key] - want[key]) <= 1e-12 * want["ratio"], key
     assert audit.passed == (min(r["margin"] for r in ref if not r["skipped"]) >= 0.0)
 
 
-def test_bound_ratio_sigma_matches_exact_arithmetic(solved):
-    # ER8a's most-cut edge is cut in 1 978 of 2 000 samples.  There b^2 count/N
-    # - mean^2 cancels and is off by 7.8e-15 of sigma, as 1 - p with p rounded
-    # would be; the variance from integer counts is off by a few ulps.
+@pytest.mark.parametrize("exact", [False, True], ids=["bound", "statevector"])
+def test_bound_ratio_sigma_matches_exact_arithmetic(exact, solved):
+    # ER8a's most-cut edge is cut in 1 978 of 2 000 samples.  There the
+    # per-sample form sum(x^2)/N - mean^2 cancels: it is off by 7.8e-15 of
+    # sigma in bound mode, as 1 - p with p rounded would be, and by 3.1e-12 in
+    # statevector mode.  The variance from integer counts is off by a few
+    # ulps.  The reference takes each sample's own value: edge_energy_bound,
+    # or the simulated state's.
     inst = solved("ER8a")
     g, vs, samples = inst.graph, inst.vectors, 2000
-    audit = per_edge_ratio_audit(vs, g, samples=samples, seed=5, sim_limit=g.n - 1)
+    audit = per_edge_ratio_audit(vs, g, samples=samples, seed=5,
+                                 sim_limit=g.n if exact else g.n - 1)
     params = EdgeParameters.from_solution(vs, g)
     assigns = [sample_assignment(vs, sd) for sd in sample_seeds(5, samples)]
     counts = [sum(a.z[i] != a.z[j] for a in assigns) for i, j, _ in g.edges]
     k = int(np.argmax(counts))
     i, j, _ = g.edges[k]
-    xs = [Fraction(edge_energy_bound(params, a, g, (i, j))) for a in assigns]
+    if exact:
+        xs = [Fraction(edge_energies(simulate(build_circuit(a, params, g), limit=g.n), g)[k])
+              for a in assigns]
+    else:
+        xs = [Fraction(edge_energy_bound(params, a, g, (i, j))) for a in assigns]
     mean = sum(xs) / samples
     var = sum((x - mean) ** 2 for x in xs) / (samples - 1)
     want = math.sqrt(var / samples) / (1.0 - vs.pair_sum_dot_unit(i, j))
     row = audit.rows[k]
     assert row["edge"] == f"{i}-{j}" and not row["skipped"]
     assert abs(row["sigma"] - want) <= 2e-15 * want
+
+
+def test_ratio_audit_disagreeing_with_the_statevector_raises(monkeypatch, solved):
+    # The statevector confirms the closed forms on the first sample only.
+    inst = solved("K2")
+    monkeypatch.setattr("qmcut.certify.edge_energies",
+                        lambda psi, g: [value + 1e-9 for value in edge_energies(psi, g)])
+    with pytest.raises(AssertionError, match="statevector energy"):
+        per_edge_ratio_audit(inst.vectors, inst.graph, samples=10)
 
 
 def test_positive_overlap_audit(solved):

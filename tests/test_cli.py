@@ -395,11 +395,14 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["energy", "--generate", ER8C, "--alpha0", "inf"],
     ["certify", "--generate", ER8C, "--alpha0", "nan"],
     ["certify", "--generate", ER8C, "--samples", "0"],
+    ["pipeline", "--generate", "complete:n=2", "--rounds", str(2**60)],
+    ["certify", "--generate", "complete:n=2", "--samples", str(10**20)],
     ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
     ["pipeline", "--generate", "complete:n=3,n=4"],
     ["exact", "--generate", "complete:n=3,seed=1,seed=2"],
 ], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "bench-alpha0", "round-alpha0",
-        "energy-alpha0", "certify-alpha0", "certify-samples", "solve-tol-feas",
+        "energy-alpha0", "certify-alpha0", "certify-samples", "pipeline-rounds-2to60",
+        "certify-samples-1e20", "solve-tol-feas",
         "pipeline-repeated-key", "exact-repeated-seed"])
 def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
     def no_solve(model, cfg=None):
