@@ -12,14 +12,13 @@ from .certify import (
     ratio_constant,
     sweep_alpha0,
 )
-from .energy import EdgeEnergyReport, edge_energy_bound, edge_energy_exact, total_energy
+from .energy import EdgeEnergyReport, edge_energy_bound, total_energy
 from .graph import Graph, GraphError, InputError, generate, parse_graph, serialize_graph
 from .oracle import (
     QubitLimitError,
     SpectrumResult,
     exact_opt,
     expectation,
-    moment_matrix_from_state,
     simulate,
 )
 from .rounding import (
@@ -69,12 +68,10 @@ __all__ = [
     "compute_gammas",
     "cut_probability_audit",
     "edge_energy_bound",
-    "edge_energy_exact",
     "exact_opt",
     "expectation",
     "extract_vectors",
     "generate",
-    "moment_matrix_from_state",
     "monogamy_audit",
     "parse_graph",
     "per_edge_ratio_audit",

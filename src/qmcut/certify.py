@@ -8,7 +8,8 @@ arccos(G_ij)/pi are closed forms read from the solution; only the per-edge
 approximation ratio is a Monte-Carlo estimate.  Its per-edge values depend on
 a sample only through that edge's cut bit, so it counts cut samples per edge
 and forms each edge's cut and uncut values once: closed forms, checked once on
-the statevector within the simulator limit, and certified bounds above it.
+the statevector within the simulator limit, and above it the certified bound
+edge_energy_bound of a cut edge and 0 of an uncut one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import cut_values, edge_closed_forms, edge_energy_bound
+from .energy import edge_closed_forms, edge_energy_bound
 from .graph import Graph, InputError
 from .oracle import DEFAULT_QUBIT_LIMIT, edge_energies, simulate
 from .rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit, check_alpha0,
@@ -212,7 +213,7 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
 
     An edge takes one value c in every sample that cuts it and one value u in
     the others: the exact closed forms (edge_closed_forms) within the simulator
-    limit, the certified bound edge_energy_bound and u = 0 above it.  Of N
+    limit, the certified bound edge_energy_bound and u = 0 above it.  Of N >= 2
     samples, count cut the edge; its mean is (u (N - count) + c count) / N and
     its variance (c - u)^2 count (N - count) / (N (N - 1)), from integer counts
     so that nothing cancels on edges that almost every sample cuts.  Within
@@ -220,8 +221,8 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
     a gap above 1e-12 raises AssertionError; once suffices, since c and u do
     not depend on the sample.  Edges with a vanishing share are skipped.
     """
-    if samples < 1:
-        raise InputError("need at least one sample")
+    if samples < 2:
+        raise InputError("need at least two samples: one has no sample variance")
     params = EdgeParameters.from_solution(vs, g, alpha0)
     seeds = sample_seeds(seed, samples)
     Z = np.empty((samples, g.n), dtype=bool)
@@ -238,9 +239,11 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
                 raise AssertionError(f"first sample, edge {i}-{j}: statevector energy {value} "
                                      f"and closed form {closed} differ by more than 1e-12")
     else:
-        cut = np.array(cut_values(edge_energy_bound, params, g))
+        cut = np.empty(g.num_edges)
+        for e, (i, j, _) in enumerate(g.edges):
+            only_i = Assignment(z=tuple(int(k == i) for k in range(g.n)), r_seed=0)
+            cut[e] = edge_energy_bound(params, only_i, g, (i, j))
         uncut = np.zeros_like(cut)
-    dof = max(samples - 1, 1)
     rows = []
     worst = math.inf
     for (i, j, _), c, u in zip(g.edges, cut.tolist(), uncut.tolist()):
@@ -251,7 +254,7 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
             continue
         mean = (u * (samples - count) + c * count) / samples
         # (c - u)^2 p (1 - p) N / (N - 1) with p = count / N, the integer part exact
-        variance = (c - u) * (c - u) * (count * (samples - count) / (samples * dof))
+        variance = (c - u) * (c - u) * (count * (samples - count) / (samples * (samples - 1)))
         sigma = math.sqrt(variance / samples) / share
         ratio = mean / share
         margin = ratio - (RATIO_TARGET - 5.0 * sigma)

@@ -76,8 +76,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     "oracle"), and the statevector oracle evaluates the best sample once: its
     value is best.energy, and a gap from the closed form above 1e-12 of the
     energy raises AssertionError.  Otherwise uncut edges score 0, so each
-    energy is the certified lower bound total_energy(...).exact_total of its
-    sample (energy_kind "bound").
+    energy is the sum of its sample's cut edges' exact values, a lower bound
+    on the state energy because every edge term is >= 0 (energy_kind "bound").
     A solve or extraction failure yields a report with status "solver_failure",
     the failing stage ("sdp" or "extract") and the residuals.
     """
@@ -272,10 +272,11 @@ def _seed(text: str) -> int:
 
 
 def _samples(text: str) -> int:
-    """--samples value: the ratio audit needs at least one, so it is checked before any solve."""
+    """--samples value: the ratio audit's sample variance needs at least two, so
+    it is checked before any solve."""
     samples = int(text)
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
     return samples
 
 

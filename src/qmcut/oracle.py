@@ -1,4 +1,4 @@
-"""Ground-truth engines: statevector simulation, exact spectra, state moment matrices.
+"""Ground-truth engines: statevector simulation and exact spectra.
 
 Bit-string convention is little-endian throughout the package: bit i of a basis
 index is the value of qubit i, so |z> has index sum(z_i << i).  This is the one
@@ -13,7 +13,6 @@ from itertools import combinations
 import numpy as np
 
 from .graph import Graph, InputError
-from .sdp import GramIndex
 
 DEFAULT_QUBIT_LIMIT = 16
 
@@ -92,11 +91,6 @@ def expectation(amps: np.ndarray, g: Graph) -> float:
     return sum((w * e / 4.0 for (_, _, w), e in zip(g.edges, edge_energies(amps, g))), 0.0)
 
 
-def classical_energy(g: Graph, bits) -> float:
-    """Energy of the computational basis state |bits>: half the cut weight."""
-    return sum(w / 2.0 for i, j, w in g.edges if bits[i] != bits[j])
-
-
 def _sector_basis(n: int, k: int) -> np.ndarray:
     states = [sum(1 << q for q in combo) for combo in combinations(range(n), k)]
     return np.array(sorted(states), dtype=np.int64)
@@ -125,27 +119,3 @@ def exact_opt(g: Graph, limit: int = DEFAULT_QUBIT_LIMIT) -> SpectrumResult:
         cols = np.searchsorted(basis, flipped)
         h[rows[differ], cols] -= w / 2.0
     return SpectrumResult(lambda_max=float(np.linalg.eigvalsh(h)[-1]), sector=k, dimension=dim)
-
-
-_LETTER_FOR_AXIS = {1: "X", 2: "Y", 3: "Z"}
-
-
-def moment_matrix_from_state(amps: np.ndarray, index: GramIndex) -> np.ndarray:
-    """Symmetrized moment matrix of the state over the index's operator labels.
-
-    Entry (s, t) is <psi|(S T + T S)|psi>/2 = Re <S psi|T psi>, so the matrix
-    is the real part of a Gram matrix and therefore PSD; it satisfies every
-    relaxation constraint and reproduces the state's energy exactly.
-    """
-    if amps.size != 1 << index.n:
-        raise ValueError(f"index is for n={index.n} but the state has {amps.size} amplitudes")
-    applied = np.empty((index.size, amps.size), dtype=complex)
-    for row, label in enumerate(index.labels):
-        if label[0] == "unit":
-            applied[row] = amps
-        else:
-            _, i, j, a = label
-            letter = _LETTER_FOR_AXIS[a]
-            applied[row] = _apply_pauli(_apply_pauli(amps, letter, i), letter, j)
-    gram = (np.conj(applied) @ applied.T).real
-    return (gram + gram.T) / 2.0

@@ -13,10 +13,11 @@ import numpy as np
 
 from qmcut import Graph
 from qmcut.certify import RATIO_TARGET
-from qmcut.energy import edge_energy_bound, total_energy
-from qmcut.oracle import edge_energies, expectation, simulate
-from qmcut.rounding import EdgeParameters, build_circuit, sample_assignment, sample_seeds
-from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
+from qmcut.energy import _cut_edge_terms, edge_energy_bound, total_energy
+from qmcut.oracle import _apply_pauli, edge_energies, expectation, simulate
+from qmcut.rounding import (Assignment, EdgeParameters, build_circuit, sample_assignment,
+                            sample_seeds)
+from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL, GramIndex,
                        GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
                        constraint_residual)
 
@@ -56,6 +57,44 @@ def basis_state(bits) -> np.ndarray:
     amps = np.zeros(2 ** len(bits), dtype=complex)
     amps[sum(int(b) << i for i, b in enumerate(bits))] = 1.0
     return amps
+
+
+def classical_energy(g: Graph, bits) -> float:
+    """Energy of the computational basis state |bits>: half the cut weight."""
+    return sum(w / 2.0 for i, j, w in g.edges if bits[i] != bits[j])
+
+
+def moment_matrix_from_state(amps: np.ndarray, index: GramIndex) -> np.ndarray:
+    """Symmetrized moment matrix of the state over the index's operator labels.
+
+    Entry (s, t) is <psi|(S T + T S)|psi>/2 = Re <S psi|T psi>, so the matrix
+    is the real part of a Gram matrix and therefore PSD; it satisfies every
+    relaxation constraint and reproduces the state's energy exactly.
+    """
+    if amps.size != 1 << index.n:
+        raise ValueError(f"index is for n={index.n} but the state has {amps.size} amplitudes")
+    applied = np.empty((index.size, amps.size), dtype=complex)
+    for row, label in enumerate(index.labels):
+        if label[0] == "unit":
+            applied[row] = amps
+        else:
+            _, i, j, a = label
+            applied[row] = _apply_pauli(_apply_pauli(amps, LETTER[a], i), LETTER[a], j)
+    gram = (np.conj(applied) @ applied.T).real
+    return (gram + gram.T) / 2.0
+
+
+def edge_pauli_terms(params: EdgeParameters, assign: Assignment, g: Graph,
+                     edge: tuple[int, int]) -> tuple[float, float, float]:
+    """(<X_p X_q>, <Y_p Y_q>, <Z_p Z_q>) on a cut edge, oriented so z_p = 0.
+
+    <XX> = -s_pq A, <YY> = -s_pq B and <ZZ> = -even_subset_sum, in the terms
+    of energy._cut_edge_terms.
+    """
+    i, j = edge
+    p, q = (i, j) if assign.z[i] == 0 else (j, i)
+    s_pq, A, B, even_subset_sum, _, _ = _cut_edge_terms(params, g.neighbors, p, q)
+    return -s_pq * A, -s_pq * B, -even_subset_sum
 
 
 def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -206,8 +245,11 @@ def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSol
 def reference_bound_energies(vs: VectorSolution, g: Graph, params: EdgeParameters,
                              seeds) -> np.ndarray:
     """The per-sample loop that energy.cut_energies replaces in run_pipeline's
-    bound path: total_energy(...).exact_total of each seed's sample."""
-    return np.array([total_energy(params, sample_assignment(vs, sd), g).exact_total
+    bound path: w exact / 4 summed over the cut rows of total_energy(...) of
+    each seed's sample, in edge order."""
+    return np.array([sum((row.weight * row.exact / 4.0
+                          for row in total_energy(params, sample_assignment(vs, sd), g).edges
+                          if row.cut), 0.0)
                      for sd in seeds])
 
 
@@ -247,7 +289,7 @@ def reference_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: flo
             rows.append({"edge": f"{i}-{j}", "share": share, "skipped": True})
             continue
         mean = sums[(i, j)] / samples
-        var = max(sq_sums[(i, j)] / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
+        var = max(sq_sums[(i, j)] / samples - mean * mean, 0.0) * samples / (samples - 1)
         sigma = math.sqrt(var / samples) / share
         ratio = mean / share
         rows.append({"edge": f"{i}-{j}", "share": share, "ratio": ratio, "sigma": sigma,

@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from conftest import BENCH_NAMES, bench_graph
-from helpers import diamond_graph, haar_state, pair_sum_gram, random_graph
+from helpers import (diamond_graph, edge_pauli_terms, haar_state, moment_matrix_from_state,
+                     pair_sum_gram, random_graph)
 from qmcut import (
     alpha_gw,
     build_model,
@@ -22,12 +23,11 @@ from qmcut import (
     expectation,
     generate,
     monogamy_audit,
-    moment_matrix_from_state,
     ratio_constant,
     sweep_alpha0,
 )
 from qmcut.cli import RunConfig, report_to_json, run_pipeline
-from qmcut.energy import edge_energy_exact, edge_pauli_terms
+from qmcut.energy import edge_closed_forms
 from qmcut.oracle import edge_energies, exact_opt, simulate
 from qmcut.rounding import Assignment, EdgeParameters, build_circuit
 from qmcut.sdp import EPS_EXTRACT, build_index, constraint_residual
@@ -175,11 +175,11 @@ def test_criterion_5_energy_closed_form():
         psi = simulate(build_circuit(assign, params, g))
         index = build_index(g.n)
         unit_row = moment_matrix_from_state(psi, index)[0]
-        for (i, j, _), energy in zip(g.edges, edge_energies(psi, g)):
+        cut, _ = edge_closed_forms(params, g)
+        for (i, j, _), closed, energy in zip(g.edges, cut, edge_energies(psi, g)):
             if z[i] == z[j]:
                 continue
             checked_edges += 1
-            closed = edge_energy_exact(params, assign, g, (i, j))
             if abs(closed - energy) > 1e-9:
                 failures.append(f"trial {trial} edge ({i},{j}): closed form off by "
                                 f"{abs(closed - energy):.2e}")

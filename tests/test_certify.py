@@ -198,9 +198,11 @@ def test_per_edge_ratio_k2(solved):
 
 
 def test_sampled_audits_reject_zero_samples(solved):
+    # one sample has no sample variance, so its sigma would read 0
     inst = solved("K2")
-    with pytest.raises(ValueError, match="at least one sample"):
-        per_edge_ratio_audit(inst.vectors, inst.graph, samples=0)
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="at least two samples"):
+            per_edge_ratio_audit(inst.vectors, inst.graph, samples=samples)
 
 
 def test_per_edge_ratio_star(solved):

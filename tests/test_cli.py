@@ -10,7 +10,8 @@ from helpers import reference_bound_energies, reference_oracle_energies
 from qmcut import cli
 from qmcut.cli import EXIT_AUDIT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
 from qmcut.energy import cut_energies, edge_closed_forms
-from qmcut.rounding import EdgeParameters, sample_assignment, sample_seeds
+from qmcut.oracle import expectation, simulate
+from qmcut.rounding import EdgeParameters, build_circuit, sample_assignment, sample_seeds
 from qmcut.sdp import SolverError
 
 
@@ -205,10 +206,15 @@ def test_round_outputs_outcome(tmp_path, capsys):
     assert sorted(payload["z"]) == ["0", "1"]  # K2 optimum always cuts
 
 
-def test_energy_outputs_report(capsys):
-    assert run(["energy", "--generate", "complete:n=2", "--seed", "5"]) == EXIT_OK
+def test_energy_outputs_report(solved, monkeypatch, capsys):
+    # Every sample leaves an edge of C5 uncut, and exact_total counts it too.
+    inst = solved("C5")
+    monkeypatch.setattr(cli, "solve", lambda model, cfg: inst.gram)
+    assert run(["energy", "--generate", "cycle:n=5", "--seed", "5"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["mode"] == "exact_where_cut"
+    params = EdgeParameters.from_solution(inst.vectors, inst.graph)
+    psi = simulate(build_circuit(sample_assignment(inst.vectors, 5), params, inst.graph))
+    assert abs(payload["exact_total"] - expectation(psi, inst.graph)) <= 1e-12
     assert payload["exact_total"] >= payload["bound_total"] - 1e-12
 
 
@@ -395,14 +401,15 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["energy", "--generate", ER8C, "--alpha0", "inf"],
     ["certify", "--generate", ER8C, "--alpha0", "nan"],
     ["certify", "--generate", ER8C, "--samples", "0"],
+    ["certify", "--generate", ER8C, "--samples", "1"],
     ["pipeline", "--generate", "complete:n=2", "--rounds", str(2**60)],
     ["certify", "--generate", "complete:n=2", "--samples", str(10**20)],
     ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
     ["pipeline", "--generate", "complete:n=3,n=4"],
     ["exact", "--generate", "complete:n=3,seed=1,seed=2"],
 ], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "bench-alpha0", "round-alpha0",
-        "energy-alpha0", "certify-alpha0", "certify-samples", "pipeline-rounds-2to60",
-        "certify-samples-1e20", "solve-tol-feas",
+        "energy-alpha0", "certify-alpha0", "certify-samples", "certify-samples-1",
+        "pipeline-rounds-2to60", "certify-samples-1e20", "solve-tol-feas",
         "pipeline-repeated-key", "exact-repeated-seed"])
 def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
     def no_solve(model, cfg=None):

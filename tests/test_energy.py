@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import diamond_graph, random_graph
-from qmcut import (
-    Graph,
-    edge_energy_bound,
-    edge_energy_exact,
-    expectation,
-    generate,
-    total_energy,
-)
-from qmcut.energy import _cut_edge_energies, edge_closed_forms, edge_pauli_terms
-from qmcut.oracle import classical_energy, edge_energies, moment_matrix_from_state, simulate
+from helpers import (classical_energy, diamond_graph, edge_pauli_terms, moment_matrix_from_state,
+                     random_graph)
+from qmcut import Graph, edge_energy_bound, expectation, generate, total_energy
+from qmcut.energy import _cut_edge_terms, edge_closed_forms
+from qmcut.oracle import edge_energies, simulate
 from qmcut.rounding import Assignment, EdgeParameters, build_circuit
 from qmcut.sdp import build_index
 
@@ -30,11 +24,17 @@ def random_params(g: Graph, rng) -> EdgeParameters:
     return params_for(g, {(i, j): float(rng.uniform(0, math.pi / 4)) for i, j, _ in g.edges})
 
 
+def cut_value(params: EdgeParameters, g: Graph, edge: tuple[int, int]) -> float:
+    """The edge's exact <4 H_e> while it is cut, from edge_closed_forms."""
+    cut, _ = edge_closed_forms(params, g)
+    return float(cut[[(i, j) for i, j, _ in g.edges].index(edge)])
+
+
 def test_isolated_edge_singlet():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): math.pi / 4})
     assign = Assignment(z=(0, 1), r_seed=0)
-    assert edge_energy_exact(params, assign, g, (0, 1)) == pytest.approx(4.0, abs=1e-12)
+    assert cut_value(params, g, (0, 1)) == pytest.approx(4.0, abs=1e-12)
     psi = simulate(build_circuit(assign, params, g))
     assert expectation(psi, g) == pytest.approx(1.0, abs=1e-12)
 
@@ -42,8 +42,7 @@ def test_isolated_edge_singlet():
 def test_isolated_edge_zero_angle():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.0})
-    assign = Assignment(z=(0, 1), r_seed=0)
-    assert edge_energy_exact(params, assign, g, (0, 1)) == pytest.approx(2.0, abs=1e-12)
+    assert cut_value(params, g, (0, 1)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_star_edge_formula_against_oracle():
@@ -56,7 +55,7 @@ def test_star_edge_formula_against_oracle():
         t01 = params.theta[(0, 1)]
         t02 = params.theta[(0, 2)]
         closed = 1 + math.sin(2 * t01) * (math.cos(2 * t02) + 1) + math.cos(2 * t02)
-        got = edge_energy_exact(params, assign, g, (0, 1))
+        got = cut_value(params, g, (0, 1))
         assert got == pytest.approx(closed, abs=1e-12)
         psi = simulate(build_circuit(assign, params, g))
         assert got == pytest.approx(edge_energies(psi, g)[0], abs=1e-9)
@@ -70,7 +69,7 @@ def test_diamond_even_subset_against_oracle():
         z = (0, 1) + tuple(int(b) for b in rng.integers(0, 2, 2))
         assign = Assignment(z=z, r_seed=0)
         psi = simulate(build_circuit(assign, params, g))
-        got = edge_energy_exact(params, assign, g, (0, 1))
+        got = cut_value(params, g, (0, 1))
         assert got == pytest.approx(edge_energies(psi, g)[0], abs=1e-9)
 
 
@@ -105,13 +104,6 @@ def test_pauli_term_identities_against_oracle():
             assert xx == pytest.approx(m[0, index.pair_row(i, j, 1)], abs=1e-9)
             assert yy == pytest.approx(m[0, index.pair_row(i, j, 2)], abs=1e-9)
             assert zz == pytest.approx(m[0, index.pair_row(i, j, 3)], abs=1e-9)
-
-
-def test_exact_rejects_uncut_edge():
-    g = generate("complete", {"n": 2})
-    params = params_for(g, {(0, 1): 0.2})
-    with pytest.raises(ValueError, match="not cut"):
-        edge_energy_exact(params, Assignment(z=(1, 1), r_seed=0), g, (0, 1))
 
 
 def test_bound_uncut_edge_is_zero():
@@ -154,11 +146,10 @@ def test_bound_never_exceeds_exact():
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
         assign = Assignment(z=z, r_seed=0)
-        for i, j, _ in g.edges:
+        cut, _ = edge_closed_forms(params, g)
+        for (i, j, _), exact in zip(g.edges, cut):
             if z[i] != z[j]:
-                bound = edge_energy_bound(params, assign, g, (i, j))
-                exact = edge_energy_exact(params, assign, g, (i, j))
-                assert bound <= exact + 1e-12
+                assert edge_energy_bound(params, assign, g, (i, j)) <= exact + 1e-12
 
 
 def test_totals_zero_angles_give_half_cut_value():
@@ -169,6 +160,7 @@ def test_totals_zero_angles_give_half_cut_value():
     assign = Assignment(z=z, r_seed=0)
     report = total_energy(params, assign, g)
     assert report.bound_total == pytest.approx(classical_energy(g, z), abs=1e-12)
+    assert report.exact_total == pytest.approx(classical_energy(g, z), abs=1e-12)
 
 
 def test_totals_empty_graph():
@@ -177,26 +169,6 @@ def test_totals_empty_graph():
     report = total_energy(params, Assignment(z=(0, 1, 0), r_seed=0), g)
     assert report.bound_total == 0.0
     assert report.exact_total == 0.0
-    assert report.uncut_edges == ()
-
-
-def test_exact_where_cut_is_lower_bound_on_state_energy():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        n = int(rng.integers(2, 11))
-        g = random_graph(rng, n, p=0.5)
-        params = random_params(g, rng)
-        z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(z=z, r_seed=0)
-        report = total_energy(params, assign, g)
-        psi = simulate(build_circuit(assign, params, g))
-        assert report.exact_total <= expectation(psi, g) + 1e-9
-        assert report.bound_total <= report.exact_total + 1e-12
-        for row in report.edges:
-            if row.cut:
-                assert row.exact >= row.bound - 1e-12
-            else:
-                assert row.bound == 0.0
 
 
 def test_total_energy_rows_equal_per_edge_functions():
@@ -208,12 +180,9 @@ def test_total_energy_rows_equal_per_edge_functions():
         z = tuple(int(b) for b in rng.integers(0, 2, n))
         assign = Assignment(z=z, r_seed=0)
         report = total_energy(params, assign, g)
-        for row in report.edges:
+        for row, c, u in zip(report.edges, *edge_closed_forms(params, g)):
             assert row.bound == edge_energy_bound(params, assign, g, row.edge)
-            if row.cut:
-                assert row.exact == edge_energy_exact(params, assign, g, row.edge)
-            else:
-                assert row.exact is None
+            assert row.exact == (c if row.cut else u)
 
 
 def test_gate_order_independence():
@@ -235,7 +204,7 @@ def test_report_serialization():
     params = params_for(g, {(0, 1): 0.1})
     report = total_energy(params, Assignment(z=(0, 1), r_seed=0), g)
     payload = report.to_json_dict()
-    assert payload["mode"] == "exact_where_cut"
+    assert set(payload) == {"edges", "bound_total", "exact_total"}
     assert payload["edges"][0]["edge"] == "0-1"
     assert payload["exact_total"] == pytest.approx(report.exact_total)
 
@@ -243,8 +212,9 @@ def test_report_serialization():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_cut_edge_energies_do_not_depend_on_orientation(data):
-    # cut_values reads each edge on one orientation and total_energy on whichever
-    # the sample gives, so both closed forms must be the same float either way.
+    # edge_closed_forms and edge_energy_bound read each edge as (i, j) with i < j,
+    # whichever end the sample puts on side 0; every value must be the same float
+    # with the ends swapped.
     n = data.draw(st.integers(2, 8), label="n")
     pairs = [e for e in itertools.combinations(range(n), 2) if data.draw(st.booleans())]
     thetas = data.draw(st.lists(st.floats(0.0, math.pi / 4), min_size=len(pairs),
@@ -252,15 +222,20 @@ def test_cut_edge_energies_do_not_depend_on_orientation(data):
     g = Graph.from_edges(n, [(i, j, 1.0) for i, j in pairs])
     params = params_for(g, dict(zip(pairs, thetas)))
     for p, q in pairs:
-        assert _cut_edge_energies(params, g.neighbors, p, q) == \
-            _cut_edge_energies(params, g.neighbors, q, p)
+        s, A, B, even_subset_sum, plus, rest = _cut_edge_terms(params, g.neighbors, p, q)
+        assert _cut_edge_terms(params, g.neighbors, q, p) == \
+            (s, B, A, even_subset_sum, plus, rest)
+        only_p = Assignment(z=tuple(int(k == p) for k in range(n)), r_seed=0)
+        assert edge_energy_bound(params, only_p, g, (p, q)) == \
+            edge_energy_bound(params, only_p, g, (q, p))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_edge_closed_forms_match_the_statevector(data):
     # An edge's energy depends on z only through its cut bit: the cut value when
-    # cut, the uncut value otherwise, and cutting it never lowers it.
+    # cut, the uncut value otherwise, and cutting it never lowers it.  So
+    # total_energy's exact total is the state's energy.
     n = data.draw(st.integers(2, 10), label="n")
     pairs = [e for e in itertools.combinations(range(n), 2) if data.draw(st.booleans())]
     thetas = data.draw(st.lists(st.floats(0.0, math.pi / 4), min_size=len(pairs),
@@ -268,9 +243,10 @@ def test_edge_closed_forms_match_the_statevector(data):
     z = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="z"))
     g = Graph.from_edges(n, [(i, j, 1.0) for i, j in pairs])
     params = params_for(g, dict(zip(pairs, thetas)))
+    assign = Assignment(z=z, r_seed=0)
     cut, uncut = edge_closed_forms(params, g)
-    energies = edge_energies(simulate(build_circuit(Assignment(z=z, r_seed=0), params, g),
-                                      limit=n), g)
-    for (i, j, _), c, u, energy in zip(g.edges, cut, uncut, energies):
+    psi = simulate(build_circuit(assign, params, g), limit=n)
+    for (i, j, _), c, u, energy in zip(g.edges, cut, uncut, edge_energies(psi, g)):
         assert (c if z[i] != z[j] else u) == pytest.approx(energy, abs=1e-12)
         assert c - u >= 0.0
+    assert abs(total_energy(params, assign, g).exact_total - expectation(psi, g)) <= 1e-12

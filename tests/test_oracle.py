@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import basis_state, dense_hamiltonian, haar_state, kron_op, random_graph
+from helpers import (basis_state, classical_energy, dense_hamiltonian, haar_state, kron_op,
+                     moment_matrix_from_state, random_graph)
 from qmcut import Graph, QubitLimitError, build_model, exact_opt, expectation, generate
-from qmcut.energy import edge_energy_exact
-from qmcut.oracle import classical_energy, edge_energies, moment_matrix_from_state, simulate
+from qmcut.energy import edge_closed_forms
+from qmcut.oracle import edge_energies, simulate
 from qmcut.rounding import ALPHA0_DEFAULT, Assignment, Circuit, EdgeParameters, Gate, build_circuit
 from qmcut.sdp import build_index, constraint_residual
 
@@ -72,7 +73,8 @@ def test_simulate_matches_dense_exponentials():
 @given(st.data())
 def test_edge_energy_depends_on_z_only_through_its_cut_bit(data):
     # Each rounded state's energy is affine in the cut vector: an edge reads one
-    # value when cut (the closed form) and one when uncut, whatever the other bits.
+    # value when cut and one when uncut, whatever the other bits: the two closed
+    # forms of edge_closed_forms.
     n = data.draw(st.integers(2, 7), label="n")
     pairs = [e for e in itertools.combinations(range(n), 2) if data.draw(st.booleans())]
     thetas = data.draw(st.lists(st.floats(0.0, math.pi / 4), min_size=len(pairs),
@@ -80,6 +82,7 @@ def test_edge_energy_depends_on_z_only_through_its_cut_bit(data):
     g = Graph.from_edges(n, [(i, j, 1.0) for i, j in pairs])
     params = EdgeParameters(gamma=dict.fromkeys(pairs, 0.0), theta=dict(zip(pairs, thetas)),
                             alpha0=ALPHA0_DEFAULT)
+    closed = {(i, j): (c, u) for (i, j, _), c, u in zip(g.edges, *edge_closed_forms(params, g))}
     seen = {(e, cut): [] for e in pairs for cut in (False, True)}
     for z in itertools.product((0, 1), repeat=n):
         assign = Assignment(z=z, r_seed=0)
@@ -87,9 +90,8 @@ def test_edge_energy_depends_on_z_only_through_its_cut_bit(data):
         for (i, j), energy in zip(pairs, energies):
             cut = z[i] != z[j]
             seen[((i, j), cut)].append(energy)
-            if cut:
-                assert energy == pytest.approx(edge_energy_exact(params, assign, g, (i, j)),
-                                               abs=1e-12)
+            c, u = closed[(i, j)]
+            assert energy == pytest.approx(c if cut else u, abs=1e-12)
     for values in seen.values():
         assert max(values) - min(values) <= 1e-12
 

@@ -12,8 +12,8 @@ import pytest
 import qmcut
 
 from conftest import BENCH_NAMES
-from helpers import (affine_projector, axis_average, axis_permuted, haar_state, pair_sum_gram,
-                     random_graph, reference_solve)
+from helpers import (affine_projector, axis_average, axis_permuted, haar_state,
+                     moment_matrix_from_state, pair_sum_gram, random_graph, reference_solve)
 from qmcut import (
     Graph,
     SolverConfig,
@@ -26,7 +26,7 @@ from qmcut import (
     solve,
 )
 from qmcut.graph import parse_generator_spec
-from qmcut.oracle import moment_matrix_from_state, simulate
+from qmcut.oracle import simulate
 from qmcut.rounding import Circuit, Gate, sample_assignment
 from qmcut.sdp import (EPS_EXTRACT, GramSolution, Residuals, block_projector,
                        constraint_residual, lift_blocks, model_to_json, reduce_blocks)
