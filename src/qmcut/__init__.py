@@ -28,6 +28,7 @@ from .rounding import (
     build_circuit,
     compute_gammas,
     sample_assignment,
+    sample_cuts,
     theta_map,
 )
 from .sdp import (
@@ -77,6 +78,7 @@ __all__ = [
     "per_edge_ratio_audit",
     "ratio_constant",
     "sample_assignment",
+    "sample_cuts",
     "serialize_graph",
     "simulate",
     "solve",

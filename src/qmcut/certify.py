@@ -5,10 +5,11 @@ golden-section refinement of smooth 1-D objectives.  Instance audits check the
 structural inequalities that the approximation guarantee rests on.  Per-vertex
 monogamy slack, positive-overlap sums and the per-edge cut probability
 arccos(G_ij)/pi are closed forms read from the solution; only the per-edge
-approximation ratio is a Monte-Carlo estimate.  Its per-edge values depend on
-a sample only through that edge's cut bit, so it counts cut samples per edge
-and forms each edge's cut and uncut values once: closed forms, checked once on
-the statevector within the simulator limit, and above it the certified bound
+approximation ratio is a Monte-Carlo estimate, over the rows of one seeded
+random stream (rounding.sample_cuts).  Its per-edge values depend on a sample
+only through that edge's cut bit, so it counts cut samples per edge and forms
+each edge's cut and uncut values once: closed forms, checked once on the
+statevector within the simulator limit, and above it the certified bound
 edge_energy_bound of a cut edge and 0 of an uncut one.
 """
 
@@ -24,7 +25,7 @@ from .energy import edge_closed_forms, edge_energy_bound
 from .graph import Graph, InputError
 from .oracle import DEFAULT_QUBIT_LIMIT, edge_energies, simulate
 from .rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit, check_alpha0,
-                       compute_gammas, sample_assignment, sample_seeds)
+                       compute_gammas, sample_assignment, sample_cuts)
 from .sdp import EPS_EXTRACT, VectorSolution
 
 # Threshold the per-edge Monte-Carlo ratios are audited against: the floor to
@@ -211,27 +212,26 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
                          sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Audit:
     """Monte-Carlo per-edge ratio E[<4 H_ij>] / (v0 - v_ij).v0 against the target.
 
-    An edge takes one value c in every sample that cuts it and one value u in
-    the others: the exact closed forms (edge_closed_forms) within the simulator
-    limit, the certified bound edge_energy_bound and u = 0 above it.  Of N >= 2
-    samples, count cut the edge; its mean is (u (N - count) + c count) / N and
-    its variance (c - u)^2 count (N - count) / (N (N - 1)), from integer counts
-    so that nothing cancels on edges that almost every sample cuts.  Within
-    the limit the statevector checks the closed forms on the first sample, and
-    a gap above 1e-12 raises AssertionError; once suffices, since c and u do
-    not depend on the sample.  Edges with a vanishing share are skipped.
+    The samples are the rows of sample_cuts(vs, seed, samples).  An edge takes
+    one value c in every sample that cuts it and one value u in the others:
+    the exact closed forms (edge_closed_forms) within the simulator limit, the
+    certified bound edge_energy_bound and u = 0 above it.  Of N >= 2 samples,
+    count cut the edge; its mean is (u (N - count) + c count) / N and its
+    variance (c - u)^2 count (N - count) / (N (N - 1)), from integer counts so
+    that nothing cancels on edges that almost every sample cuts.  Within the
+    limit the statevector checks the closed forms on the first sample,
+    replayed by sample_assignment(vs, seed), and a gap above 1e-12 raises
+    AssertionError; once suffices, since c and u do not depend on the sample.
+    Edges with a vanishing share are skipped.
     """
     if samples < 2:
         raise InputError("need at least two samples: one has no sample variance")
     params = EdgeParameters.from_solution(vs, g, alpha0)
-    seeds = sample_seeds(seed, samples)
-    Z = np.empty((samples, g.n), dtype=bool)
-    for k, sd in enumerate(seeds):
-        Z[k] = sample_assignment(vs, sd).z
+    Z = sample_cuts(vs, seed, samples)
     exact_mode = g.n <= sim_limit
     if exact_mode:
         cut, uncut = edge_closed_forms(params, g)
-        first = Assignment(z=tuple(Z[0].astype(int).tolist()), r_seed=int(seeds[0]))
+        first = sample_assignment(vs, seed)
         simulated = edge_energies(simulate(build_circuit(first, params, g), limit=sim_limit), g)
         for (i, j, _), c, u, value in zip(g.edges, cut, uncut, simulated):
             closed = c if first.z[i] != first.z[j] else u
@@ -239,10 +239,8 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
                 raise AssertionError(f"first sample, edge {i}-{j}: statevector energy {value} "
                                      f"and closed form {closed} differ by more than 1e-12")
     else:
-        cut = np.empty(g.num_edges)
-        for e, (i, j, _) in enumerate(g.edges):
-            only_i = Assignment(z=tuple(int(k == i) for k in range(g.n)), r_seed=0)
-            cut[e] = edge_energy_bound(params, only_i, g, (i, j))
+        only = [Assignment(z=tuple(int(k == i) for k in range(g.n))) for i in range(g.n)]
+        cut = np.array([edge_energy_bound(params, only[i], g, (i, j)) for i, j, _ in g.edges])
         uncut = np.zeros_like(cut)
     rows = []
     worst = math.inf

@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest a graph, solve, round, evaluate, certify, bench.
 
-Pipeline reports are JSON of schema qmc-report/3, which keeps one seed, not one per
-round; bench emits CSV or typed JSON rows.  In deterministic mode wall-clock
-timings are zeroed so identical configurations produce byte-identical outputs.
+Pipeline reports are JSON of schema qmc-report/4; a run's rounds are the rows of one
+random stream of --seed, which `round` and `energy` replay by --index.  bench emits
+CSV or typed JSON rows.  In deterministic mode wall-clock timings are zeroed so
+identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .energy import cut_energies, edge_closed_forms, total_energy
 from .graph import Graph, GraphError, InputError, parse_generator_spec, parse_graph
 from .oracle import DEFAULT_QUBIT_LIMIT, exact_opt, expectation, simulate
 from .rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit, check_alpha0,
-                       outcome_json_dict, sample_assignment, sample_seeds)
+                       max_cut_samples, outcome_json_dict, sample_assignment, sample_cuts)
 from .sdp import (EPS_FEAS, EPS_PSD, SolverConfig, SolverError, build_model, extract_vectors,
                   model_to_json, solve)
 
-PIPELINE_SCHEMA = "qmc-report/3"
+PIPELINE_SCHEMA = "qmc-report/4"
 SOLVE_SCHEMA = "qmc-solve/1"
 EXACT_SCHEMA = "qmc-exact/1"
 EXIT_OK = 0
@@ -39,8 +40,6 @@ EXIT_INPUT = 4
 # earliest sample within this relative distance of the top, and a rounding-level
 # change in the solution cannot move it between tied cuts.
 BEST_TIE_TOL = 1e-12
-# The largest count of rounds or audit samples whose uint64 seeds numpy can size.
-MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -57,8 +56,10 @@ class RunConfig:
 
     def __post_init__(self):
         # Checked here, before the solve; run_pipeline first uses them after it.
-        if not 1 <= self.rounds <= MAX_SAMPLES:
-            raise InputError(f"rounds must be between 1 and {MAX_SAMPLES}")
+        # stderr is a sample standard deviation, which one round does not define.
+        most = max_cut_samples(self.graph.n)
+        if not 2 <= self.rounds <= most:
+            raise InputError(f"rounds must be between 2 and {most} at n = {self.graph.n}")
         check_alpha0(self.alpha0)
 
 
@@ -66,12 +67,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """Solve, round cfg.rounds times, evaluate each sample, and assemble a report.
 
     Each round is one hyperplane cut on the n x n singles Gram G that
-    extraction reads from the solution; sample k's seed is
-    sample_seeds(config.seed, samples.count)[k], and `qmcut round --seed
-    <best.seed>` redraws the best cut.  Every sample's bits go into one
-    (rounds, n) bit matrix, which also gives best.z.  One scorer,
-    energy.cut_energies, gives every sample's energy from that matrix and the
-    per-edge closed forms, formed once per run.  When the instance fits the
+    extraction reads from the solution: round k is row k of the (rounds, n) bit
+    matrix sample_cuts(vs, config.seed, rounds), which also gives best.z, and
+    `qmcut round --seed S --index <best.index>` replays the best cut.  One
+    scorer, energy.cut_energies, gives every sample's energy from that matrix
+    and the per-edge closed forms, formed once per run.  When the instance fits the
     simulator the energies are exact (cut and uncut values; energy_kind
     "oracle"), and the statevector oracle evaluates the best sample once: its
     value is best.energy, and a gap from the closed form above 1e-12 of the
@@ -129,29 +129,24 @@ def run_pipeline(cfg: RunConfig) -> dict:
     report["theta"] = {f"{i}-{j}": v for (i, j), v in sorted(params.theta.items())}
 
     t0 = time.perf_counter()
-    opt = None
-    if g.n <= cfg.sim_limit:
+    exact_mode = g.n <= cfg.sim_limit
+    opt = report["opt"] = None
+    if exact_mode:
         spectrum = exact_opt(g, limit=cfg.sim_limit)
         opt = spectrum.lambda_max
         report["opt"] = {"value": spectrum.lambda_max, "sector": spectrum.sector,
                          "dimension": spectrum.dimension}
-    else:
-        report["opt"] = None
     timings["exact_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    exact_mode = g.n <= cfg.sim_limit
-    seeds = sample_seeds(cfg.seed, cfg.rounds)
-    Z = np.empty((cfg.rounds, g.n), dtype=bool)
-    for k, seed in enumerate(seeds):
-        Z[k] = sample_assignment(vs, seed).z
+    Z = sample_cuts(vs, cfg.seed, cfg.rounds)
     cut, uncut = edge_closed_forms(params, g)
     energies = cut_energies(Z, g, cut, uncut if exact_mode else np.zeros_like(uncut))
     top = float(energies.max())
     best_idx = int(np.argmax(energies >= top - BEST_TIE_TOL * max(1.0, abs(top))))
     best_energy = float(energies[best_idx])
+    best = Assignment(z=tuple(Z[best_idx].astype(int).tolist()))
     if exact_mode:
-        best = Assignment(z=tuple(Z[best_idx].astype(int).tolist()), r_seed=int(seeds[best_idx]))
         psi = simulate(build_circuit(best, params, g), limit=cfg.sim_limit)
         oracle = expectation(psi, g)
         if not abs(oracle - best_energy) <= 1e-12 * max(1.0, abs(oracle)):
@@ -161,19 +156,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
     timings["round_s"] = time.perf_counter() - t0
 
     mean = float(np.mean(energies))
-    stderr = float(np.std(energies, ddof=1) / math.sqrt(cfg.rounds)) if cfg.rounds > 1 else 0.0
     report["samples"] = {
         "count": cfg.rounds,
         "mean": mean,
-        "stderr": stderr,
+        "stderr": float(np.std(energies, ddof=1) / math.sqrt(cfg.rounds)),
         "energy_kind": "oracle" if exact_mode else "bound",
     }
-    report["best"] = {
-        "index": best_idx,
-        "seed": int(seeds[best_idx]),
-        "z": "".join(str(b) for b in Z[best_idx].astype(int).tolist()),
-        "energy": best_energy,
-    }
+    report["best"] = {"index": best_idx, "z": best.z_string(), "energy": best_energy}
 
     def ratio(num, den):
         return None if (den is None or den <= 0.0) else num / den
@@ -263,21 +252,15 @@ def _load_graph(args) -> tuple[str, Graph]:
     raise GraphError("an instance is required: --input or --generate")
 
 
-def _seed(text: str) -> int:
-    """--seed value: numpy seeds must be nonnegative integers."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _samples(text: str) -> int:
-    """--samples value: the ratio audit's sample variance needs at least two, so
-    it is checked before any solve."""
-    samples = int(text)
-    if not 2 <= samples <= MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
-    return samples
+def _at_least(name: str, least: int):
+    """An integer flag's type, rejecting values below least before any solve;
+    _solved_vectors checks the upper end of --samples and --index per graph."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}, got {value}")
+        return value
+    return integer
 
 
 def _alpha0(text: str) -> float:
@@ -308,8 +291,11 @@ def _run_config(args, source: str, g: Graph, audits: bool = False) -> RunConfig:
                      audits=audits)
 
 
-def _solved_vectors(args):
+def _solved_vectors(args, cuts: int = 0):
+    """Load, solve and extract, checking first the count of cuts to be drawn."""
     source, g = _load_graph(args)
+    if cuts > max_cut_samples(g.n):
+        raise InputError(f"cannot draw {cuts} cuts at n = {g.n}; at most {max_cut_samples(g.n)}")
     model = build_model(g)
     gram = solve(model, _solver_config(args))
     return source, g, model, gram, extract_vectors(gram)
@@ -333,17 +319,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_round(args) -> int:
-    _, g, _, _, vs = _solved_vectors(args)
+    _, g, _, _, vs = _solved_vectors(args, args.index + 1)
     params = EdgeParameters.from_solution(vs, g, args.alpha0)
-    assign = sample_assignment(vs, args.seed)
-    _emit(report_to_json(outcome_json_dict(assign, params)), args.out)
+    assign = sample_assignment(vs, args.seed, args.index)
+    payload = {**outcome_json_dict(assign, params), "seed": args.seed, "index": args.index}
+    _emit(report_to_json(payload), args.out)
     return EXIT_OK
 
 
 def cmd_energy(args) -> int:
-    _, g, _, _, vs = _solved_vectors(args)
+    _, g, _, _, vs = _solved_vectors(args, args.index + 1)
     params = EdgeParameters.from_solution(vs, g, args.alpha0)
-    assign = sample_assignment(vs, args.seed)
+    assign = sample_assignment(vs, args.seed, args.index)
     report = total_energy(params, assign, g)
     _emit(report_to_json(report.to_json_dict()), args.out)
     return EXIT_OK
@@ -360,7 +347,7 @@ def cmd_exact(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.input or args.generate:
-        _, g, _, _, vs = _solved_vectors(args)
+        _, g, _, _, vs = _solved_vectors(args, args.samples)
         cert = certify_mod.build_certificate(vs, g, alpha0=args.alpha0,
                                              ratio_samples=args.samples,
                                              seed=args.seed, sim_limit=args.sim_limit)
@@ -405,9 +392,13 @@ _FLAGS: dict[str, dict] = {
     "--suite": {"required": True,
                 "help": "';'-separated generator specs, e.g. 'complete:n=2;path:n=3'"},
     "--rounds": {"type": int, "default": RunConfig.rounds},
-    "--seed": {"type": _seed, "default": RunConfig.seed},
+    "--seed": {"type": _at_least("seed", 0), "default": RunConfig.seed,
+               "help": "seed of the run's one random stream"},
+    "--index": {"type": _at_least("index", 0), "default": 0,
+                "help": "the sample to replay: row of the --seed stream"},
     "--alpha0": {"type": _alpha0, "default": ALPHA0_DEFAULT},
-    "--samples": {"type": _samples, "default": certify_mod.RATIO_SAMPLES,
+    # The ratio audit's sample variance needs two samples.
+    "--samples": {"type": _at_least("samples", 2), "default": certify_mod.RATIO_SAMPLES,
                   "help": "samples of the per-edge ratio audit"},
     "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
     "--max-iterations": {"type": int, "default": SolverConfig.max_iterations},
@@ -428,9 +419,9 @@ _SUBCOMMANDS = {
     "solve": (cmd_solve, "solve the relaxation and report the objective",
               (*_INSTANCE, *_SOLVER, "--out", "--dump-model")),
     "round": (cmd_round, "solve and draw one rounding sample",
-              (*_INSTANCE, "--seed", "--alpha0", *_SOLVER, "--out")),
+              (*_INSTANCE, "--seed", "--index", "--alpha0", *_SOLVER, "--out")),
     "energy": (cmd_energy, "solve, round once, and report edge energies",
-               (*_INSTANCE, "--seed", "--alpha0", *_SOLVER, "--out")),
+               (*_INSTANCE, "--seed", "--index", "--alpha0", *_SOLVER, "--out")),
     "exact": (cmd_exact, "exact largest eigenvalue by sector diagonalization",
               (*_INSTANCE, "--sim-limit", "--out")),
     "certify": (cmd_certify, "constants and instance audits",

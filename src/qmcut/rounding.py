@@ -3,7 +3,8 @@
 A sample cuts the graph by one random hyperplane on the singles Gram G
 (Goemans-Williamson rounding: the signs of F g with F F^T = G and g standard
 normal), then entangles the resulting bit string with commuting two-qubit
-rotations whose angles come from the per-edge overlap gamma_ij.
+rotations whose angles come from the per-edge overlap gamma_ij.  A run's samples
+are the rows of one seeded Gaussian stream (sample_cuts), replayed from (seed, k).
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .sdp import VectorSolution
 
 ALPHA0_DEFAULT = 0.041
 
+# Gaussian rows per product in sample_cuts: a run holds one chunk of normals, not
+# all of them, and default_rng draws the same stream row after row at any chunk size.
+CUT_CHUNK = 4096
+
 # Bit value -> rotation letter on that qubit.
 PAULI_FOR_BIT = {1: "X", 0: "Y"}
 
@@ -26,7 +31,6 @@ PAULI_FOR_BIT = {1: "X", 0: "Y"}
 @dataclass(frozen=True)
 class Assignment:
     z: tuple[int, ...]      # one bit per vertex
-    r_seed: int
 
     def z_string(self) -> str:
         return "".join(str(b) for b in self.z)
@@ -79,25 +83,30 @@ class Circuit:
     gates: tuple[Gate, ...]
 
 
-def sample_seeds(master_seed: int, count: int) -> np.ndarray:
-    """Counter-split uint64 per-sample seeds: any single sample is reproducible alone.
+def max_cut_samples(n: int) -> int:
+    """The most cuts of n vertices numpy can size: the bytes of their (count, n) bit
+    matrix and of the pipeline's count float64 energies must fit in intp."""
+    return np.iinfo(np.intp).max // max(n, 8)
 
-    The schedule is prefix-stable: the first k seeds do not depend on count, so
-    sample k of a pipeline report has seed sample_seeds(config.seed, samples.count)[k].
+
+def sample_cuts(vs: VectorSolution, seed: int, count: int) -> np.ndarray:
+    """count hyperplane cuts on G, as a (count, n) bool matrix from one random stream.
+
+    Row k is z_i = [F_i . r_k >= 0] for the k-th row r_k of standard normals
+    that default_rng(seed) draws (not normalized, as only signs matter; an exact
+    zero counts as positive).  The first k rows do not depend on count.
     """
-    return np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    Z = np.empty((count, len(vs.F)), dtype=bool)
+    for start in range(0, count, CUT_CHUNK):
+        R = rng.standard_normal((min(CUT_CHUNK, count - start), len(vs.F)))
+        np.greater_equal(R @ vs.F.T, 0.0, out=Z[start:start + len(R)])
+    return Z
 
 
-def sample_assignment(vs: VectorSolution, seed: int) -> Assignment:
-    """One hyperplane-rounding sample, deterministic in the seed.
-
-    The direction is drawn as n independent standard normals; only the sign of
-    each inner product matters, so the normalization is skipped.  An exact
-    zero inner product counts as positive.
-    """
-    r = np.random.default_rng(seed).standard_normal(len(vs.F))
-    z = tuple((vs.F @ r >= 0.0).astype(int).tolist())
-    return Assignment(z=z, r_seed=seed)
+def sample_assignment(vs: VectorSolution, seed: int, index: int = 0) -> Assignment:
+    """Sample index of the stream of seed: row index of sample_cuts(vs, seed, index + 1)."""
+    return Assignment(z=tuple(sample_cuts(vs, seed, index + 1)[index].astype(int).tolist()))
 
 
 def compute_gammas(vs: VectorSolution, g: Graph) -> dict[tuple[int, int], float]:
@@ -141,11 +150,10 @@ def build_circuit(assign: Assignment, params: EdgeParameters, g: Graph) -> Circu
 
 
 def outcome_json_dict(assign: Assignment, params: EdgeParameters) -> dict:
-    """Serializable rounding outcome: bits, per-edge gamma/theta, seed."""
+    """Serializable rounding outcome: bits and per-edge gamma/theta."""
     return {
         "z": assign.z_string(),
         "gamma": {f"{i}-{j}": v for (i, j), v in sorted(params.gamma.items())},
         "theta": {f"{i}-{j}": v for (i, j), v in sorted(params.theta.items())},
         "alpha0": params.alpha0,
-        "seed": assign.r_seed,
     }

@@ -15,8 +15,7 @@ from qmcut import Graph
 from qmcut.certify import RATIO_TARGET
 from qmcut.energy import _cut_edge_terms, edge_energy_bound, total_energy
 from qmcut.oracle import _apply_pauli, edge_energies, expectation, simulate
-from qmcut.rounding import (Assignment, EdgeParameters, build_circuit, sample_assignment,
-                            sample_seeds)
+from qmcut.rounding import Assignment, EdgeParameters, build_circuit, sample_cuts
 from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL, GramIndex,
                        GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
                        constraint_residual)
@@ -242,24 +241,25 @@ def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSol
     return GramSolution(index=model.index, M=M, objective=objective, residuals=res)
 
 
-def reference_bound_energies(vs: VectorSolution, g: Graph, params: EdgeParameters,
-                             seeds) -> np.ndarray:
+def assignments(Z: np.ndarray) -> list[Assignment]:
+    """One Assignment per row of a (samples, n) bit matrix."""
+    return [Assignment(z=tuple(row)) for row in Z.astype(int).tolist()]
+
+
+def reference_bound_energies(g: Graph, params: EdgeParameters, Z: np.ndarray) -> np.ndarray:
     """The per-sample loop that energy.cut_energies replaces in run_pipeline's
     bound path: w exact / 4 summed over the cut rows of total_energy(...) of
-    each seed's sample, in edge order."""
+    each row's sample, in edge order."""
     return np.array([sum((row.weight * row.exact / 4.0
-                          for row in total_energy(params, sample_assignment(vs, sd), g).edges
-                          if row.cut), 0.0)
-                     for sd in seeds])
+                          for row in total_energy(params, assign, g).edges if row.cut), 0.0)
+                     for assign in assignments(Z)])
 
 
-def reference_oracle_energies(vs: VectorSolution, g: Graph, params: EdgeParameters,
-                              seeds) -> np.ndarray:
+def reference_oracle_energies(g: Graph, params: EdgeParameters, Z: np.ndarray) -> np.ndarray:
     """The per-sample loop that energy.cut_energies replaces in run_pipeline's
-    statevector path: the simulated state energy of each seed's sample."""
-    return np.array([expectation(simulate(build_circuit(sample_assignment(vs, sd), params, g),
-                                          limit=g.n), g)
-                     for sd in seeds])
+    statevector path: the simulated state energy of each row's sample."""
+    return np.array([expectation(simulate(build_circuit(assign, params, g), limit=g.n), g)
+                     for assign in assignments(Z)])
 
 
 def reference_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: float,
@@ -273,8 +273,7 @@ def reference_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: flo
     edges = [(i, j) for i, j, _ in g.edges]
     sums = dict.fromkeys(edges, 0.0)
     sq_sums = dict.fromkeys(edges, 0.0)
-    for sd in sample_seeds(seed, samples):
-        assign = sample_assignment(vs, sd)
+    for assign in assignments(sample_cuts(vs, seed, samples)):
         if exact:
             vals = edge_energies(simulate(build_circuit(assign, params, g), limit=g.n), g)
         else:

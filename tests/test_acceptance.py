@@ -171,7 +171,7 @@ def test_criterion_5_energy_closed_form():
             continue
         theta = {(i, j): float(rng.uniform(0.0, math.pi / 4)) for i, j, _ in g.edges}
         params = EdgeParameters(gamma=dict.fromkeys(theta, 0.0), theta=theta, alpha0=0.041)
-        assign = Assignment(z=z, r_seed=0)
+        assign = Assignment(z=z)
         psi = simulate(build_circuit(assign, params, g))
         index = build_index(g.n)
         unit_row = moment_matrix_from_state(psi, index)[0]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unit_rows, reference_ratio_rows, synthetic_solution
+from helpers import assignments, random_unit_rows, reference_ratio_rows, synthetic_solution
 from qmcut import (
     Graph,
     alpha_gw,
@@ -32,8 +32,7 @@ from qmcut.certify import (
 )
 from qmcut.energy import edge_energy_bound
 from qmcut.oracle import edge_energies, simulate
-from qmcut.rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, sample_assignment,
-                            sample_seeds)
+from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, build_circuit, sample_cuts
 
 
 def test_alpha_gw_value_and_argmin():
@@ -242,10 +241,9 @@ def test_bound_ratio_audit_matches_the_per_sample_loop(name, exact, solved):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["bound", "statevector"])
 def test_bound_ratio_sigma_matches_exact_arithmetic(exact, solved):
-    # ER8a's most-cut edge is cut in 1 978 of 2 000 samples.  There the
-    # per-sample form sum(x^2)/N - mean^2 cancels: it is off by 7.8e-15 of
-    # sigma in bound mode, as 1 - p with p rounded would be, and by 3.1e-12 in
-    # statevector mode.  The variance from integer counts is off by a few
+    # ER8a's most-cut edge is cut in 1 969 of 2 000 samples.  There the
+    # per-sample form sum(x^2)/N - mean^2 cancels: it is off by 2.2e-12 of
+    # sigma in both modes.  The variance from integer counts is off by a few
     # ulps.  The reference takes each sample's own value: edge_energy_bound,
     # or the simulated state's.
     inst = solved("ER8a")
@@ -253,7 +251,7 @@ def test_bound_ratio_sigma_matches_exact_arithmetic(exact, solved):
     audit = per_edge_ratio_audit(vs, g, samples=samples, seed=5,
                                  sim_limit=g.n if exact else g.n - 1)
     params = EdgeParameters.from_solution(vs, g)
-    assigns = [sample_assignment(vs, sd) for sd in sample_seeds(5, samples)]
+    assigns = assignments(sample_cuts(vs, 5, samples))
     counts = [sum(a.z[i] != a.z[j] for a in assigns) for i, j, _ in g.edges]
     k = int(np.argmax(counts))
     i, j, _ = g.edges[k]

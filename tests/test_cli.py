@@ -11,7 +11,7 @@ from qmcut import cli
 from qmcut.cli import EXIT_AUDIT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
 from qmcut.energy import cut_energies, edge_closed_forms
 from qmcut.oracle import expectation, simulate
-from qmcut.rounding import EdgeParameters, build_circuit, sample_assignment, sample_seeds
+from qmcut.rounding import EdgeParameters, build_circuit, sample_assignment, sample_cuts
 from qmcut.sdp import SolverError
 
 
@@ -25,13 +25,13 @@ def test_pipeline_writes_versioned_report(tmp_path):
                 "--seed", "7", "--deterministic", "--out", str(out)])
     assert code == EXIT_OK
     report = json.loads(out.read_text())
-    assert report["schema"] == "qmc-report/3"
+    assert report["schema"] == "qmc-report/4"
     assert report["status"] == "ok"
     assert report["sdp"]["objective"] == pytest.approx(1.0, abs=1e-5)
     assert report["opt"]["value"] == pytest.approx(1.0, abs=1e-9)
     assert report["samples"]["count"] == 50
     assert report["best"]["energy"] <= report["opt"]["value"] + 1e-6
-    assert set(report["best"]) == {"index", "seed", "z", "energy"}
+    assert set(report["best"]) == {"index", "z", "energy"}
     assert report["timings"] is None
 
 
@@ -55,7 +55,6 @@ def test_best_is_the_earliest_of_tied_samples(monkeypatch, tmp_path):
                 "--deterministic", "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
     assert report["best"]["index"] == 0
-    assert report["best"]["seed"] == sample_seeds(0, 2)[0]
 
 
 @pytest.mark.parametrize("name", ["C5", "K13", "ER8a", "ER8c"])
@@ -65,10 +64,9 @@ def test_bound_energies_equal_the_per_sample_totals(name, solved, monkeypatch):
     inst = solved(name)
     g, vs, rounds = inst.graph, inst.vectors, 400
     monkeypatch.setattr(cli, "solve", lambda model, cfg: inst.gram)
-    seeds = sample_seeds(3, rounds)
+    Z = sample_cuts(vs, 3, rounds)
     params = EdgeParameters.from_solution(vs, g)
-    ref = reference_bound_energies(vs, g, params, seeds)
-    Z = np.array([sample_assignment(vs, sd).z for sd in seeds], dtype=bool)
+    ref = reference_bound_energies(g, params, Z)
     cut, _ = edge_closed_forms(params, g)
     assert cut_energies(Z, g, cut, np.zeros_like(cut)).tobytes() == ref.tobytes()
 
@@ -79,13 +77,12 @@ def test_bound_energies_equal_the_per_sample_totals(name, solved, monkeypatch):
     assert report["samples"]["energy_kind"] == "bound"
     assert report["samples"]["mean"] == float(np.mean(ref))
     assert report["samples"]["stderr"] == float(np.std(ref, ddof=1) / math.sqrt(rounds))
-    assert report["best"] == {"index": best, "seed": int(seeds[best]),
-                              "z": sample_assignment(vs, seeds[best]).z_string(),
+    assert report["best"] == {"index": best, "z": sample_assignment(vs, 3, best).z_string(),
                               "energy": float(ref[best])}
     # The statevector path reads best.z from the same bit matrix.
     report = cli.run_pipeline(cli.RunConfig(graph=g, source=name, rounds=50, seed=3,
                                             sim_limit=g.n, deterministic=True))
-    assert report["best"]["z"] == sample_assignment(vs, report["best"]["seed"]).z_string()
+    assert report["best"]["z"] == sample_assignment(vs, 3, report["best"]["index"]).z_string()
 
 
 @pytest.mark.parametrize("name", ["K2", "P3", "K3", "K13", "C5", "ER8a", "ER8b", "ER8c"])
@@ -103,8 +100,8 @@ def test_statevector_energies_match_the_per_sample_oracle(name, solved, monkeypa
         return scored[-1]
 
     monkeypatch.setattr(cli, "cut_energies", spy)
-    seeds = sample_seeds(3, rounds)
-    ref = reference_oracle_energies(vs, g, EdgeParameters.from_solution(vs, g), seeds)
+    ref = reference_oracle_energies(g, EdgeParameters.from_solution(vs, g),
+                                    sample_cuts(vs, 3, rounds))
     report = cli.run_pipeline(cli.RunConfig(graph=g, source=name, rounds=rounds, seed=3,
                                             deterministic=True))
     assert report["samples"]["energy_kind"] == "oracle"
@@ -115,8 +112,7 @@ def test_statevector_energies_match_the_per_sample_oracle(name, solved, monkeypa
     want = int(np.argmax(ref >= top - tie))
     got = report["best"]["index"]
     assert got == want or abs(ref[got] - ref[want]) <= tie
-    assert report["best"] == {"index": got, "seed": int(seeds[got]),
-                              "z": sample_assignment(vs, seeds[got]).z_string(),
+    assert report["best"] == {"index": got, "z": sample_assignment(vs, 3, got).z_string(),
                               "energy": float(ref[got])}
 
 
@@ -201,9 +197,24 @@ def test_solve_dump_model(tmp_path):
 def test_round_outputs_outcome(tmp_path, capsys):
     assert run(["round", "--generate", "complete:n=2", "--seed", "5"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"z", "gamma", "theta", "alpha0", "seed"}
-    assert payload["seed"] == 5
+    assert set(payload) == {"z", "gamma", "theta", "alpha0", "seed", "index"}
+    assert (payload["seed"], payload["index"]) == (5, 0)
     assert sorted(payload["z"]) == ["0", "1"]  # K2 optimum always cuts
+
+
+def test_round_replays_the_pipeline_best(solved, monkeypatch, capsys):
+    # A pipeline sample is addressed by (seed, index): round --index replays it.
+    inst = solved("ER8c")
+    monkeypatch.setattr(cli, "solve", lambda model, cfg: inst.gram)
+    spec = "erdos_renyi:n=8,p=0.4,seed=3"
+    assert run(["pipeline", "--generate", spec, "--rounds", "300", "--seed", "9",
+                "--deterministic"]) == EXIT_OK
+    best = json.loads(capsys.readouterr().out)["best"]
+    assert best["index"] > 0
+    assert run(["round", "--generate", spec, "--seed", "9",
+                "--index", str(best["index"])]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["z"], payload["index"]) == (best["z"], best["index"])
 
 
 def test_energy_outputs_report(solved, monkeypatch, capsys):
@@ -377,10 +388,14 @@ def test_json_weight_too_large_for_float_is_input_error(tmp_path, capsys):
 
 
 def test_unallocatable_request_is_input_error(capsys):
-    # 10**17 rounds ask sample_seeds for 8e17 bytes, which no host can grant,
-    # so the allocation fails at once instead of being attempted
-    assert run(["pipeline", "--generate", "complete:n=2", "--rounds", str(10**17)]) == EXIT_INPUT
-    assert "input error" in capsys.readouterr().err
+    # 10**17 rounds of complete:n=2 ask for a 2e17-byte bit matrix, which no host
+    # can grant, so the allocation fails at once instead of being attempted.  At
+    # n = 10, 10**18 rounds or samples need 1e19 bytes, more than numpy can size.
+    for argv in (["pipeline", "--generate", "complete:n=2", "--rounds", str(10**17)],
+                 ["pipeline", "--generate", "complete:n=10", "--rounds", str(10**18)],
+                 ["certify", "--generate", "complete:n=10", "--samples", str(10**18)]):
+        assert run(argv) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--max-iterations", "0")])
@@ -396,6 +411,10 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["pipeline", "--generate", ER8C, "--alpha0=-1"],
     ["pipeline", "--generate", ER8C, "--rounds", "100000000000000000000"],
     ["bench", "--suite", ER8C, "--rounds", "100000000000000000000"],
+    ["pipeline", "--generate", ER8C, "--rounds", "1"],
+    ["bench", "--suite", ER8C, "--rounds", "1"],
+    ["round", "--generate", ER8C, "--index", "-1"],
+    ["energy", "--generate", "complete:n=10", "--index", str(10**18)],
     ["bench", "--suite", ER8C, "--alpha0", "nan"],
     ["round", "--generate", ER8C, "--alpha0", "-1"],
     ["energy", "--generate", ER8C, "--alpha0", "inf"],
@@ -407,7 +426,8 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
     ["pipeline", "--generate", "complete:n=3,n=4"],
     ["exact", "--generate", "complete:n=3,seed=1,seed=2"],
-], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "bench-alpha0", "round-alpha0",
+], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "pipeline-rounds-1",
+        "bench-rounds-1", "round-index-negative", "energy-index-1e18", "bench-alpha0", "round-alpha0",
         "energy-alpha0", "certify-alpha0", "certify-samples", "certify-samples-1",
         "pipeline-rounds-2to60", "certify-samples-1e20", "solve-tol-feas",
         "pipeline-repeated-key", "exact-repeated-seed"])
@@ -457,10 +477,10 @@ def test_huge_alpha0_writes_no_nan(command, extra, tmp_path, capsys):
 PARSER_TABLE = {
     "solve": ({"--input": "g.txt", "--generate": "path:n=3", "--max-iterations": "10",
                "--out": "o.json", "--dump-model": "m.json"}, ["--seed", "1"]),
-    "round": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
+    "round": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1", "--index": "2",
                "--alpha0": "0.05", "--max-iterations": "10", "--out": "o.json"},
               ["--rounds", "5"]),
-    "energy": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
+    "energy": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1", "--index": "2",
                 "--alpha0": "0.05", "--max-iterations": "10", "--out": "o.json"},
                ["--sim-limit", "4"]),
     "exact": ({"--input": "g.txt", "--generate": "path:n=3", "--sim-limit": "4",

@@ -33,7 +33,7 @@ def cut_value(params: EdgeParameters, g: Graph, edge: tuple[int, int]) -> float:
 def test_isolated_edge_singlet():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): math.pi / 4})
-    assign = Assignment(z=(0, 1), r_seed=0)
+    assign = Assignment(z=(0, 1))
     assert cut_value(params, g, (0, 1)) == pytest.approx(4.0, abs=1e-12)
     psi = simulate(build_circuit(assign, params, g))
     assert expectation(psi, g) == pytest.approx(1.0, abs=1e-12)
@@ -49,7 +49,7 @@ def test_star_edge_formula_against_oracle():
     # center 0 with leaves 1, 2; z = (0, 1, 0); edge (0, 1) is cut
     g = generate("star", {"d": 2})
     rng = np.random.default_rng(1)
-    assign = Assignment(z=(0, 1, 0), r_seed=0)
+    assign = Assignment(z=(0, 1, 0))
     for _ in range(100):
         params = random_params(g, rng)
         t01 = params.theta[(0, 1)]
@@ -67,7 +67,7 @@ def test_diamond_even_subset_against_oracle():
     for _ in range(50):
         params = random_params(g, rng)
         z = (0, 1) + tuple(int(b) for b in rng.integers(0, 2, 2))
-        assign = Assignment(z=z, r_seed=0)
+        assign = Assignment(z=z)
         psi = simulate(build_circuit(assign, params, g))
         got = cut_value(params, g, (0, 1))
         assert got == pytest.approx(edge_energies(psi, g)[0], abs=1e-9)
@@ -83,7 +83,7 @@ def test_pauli_term_identities_against_oracle():
             continue
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(z=z, r_seed=0)
+        assign = Assignment(z=z)
         index = build_index(n)
         m = moment_matrix_from_state(simulate(build_circuit(assign, params, g)), index)
         for i, j, _ in g.edges:
@@ -109,7 +109,7 @@ def test_pauli_term_identities_against_oracle():
 def test_bound_uncut_edge_is_zero():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.2})
-    assert edge_energy_bound(params, Assignment(z=(0, 0), r_seed=0), g, (0, 1)) == 0.0
+    assert edge_energy_bound(params, Assignment(z=(0, 0)), g, (0, 1)) == 0.0
 
 
 def test_bound_with_idle_neighbors():
@@ -117,7 +117,7 @@ def test_bound_with_idle_neighbors():
     g = generate("star", {"d": 3})
     thetas = {(0, 1): 0.3, (0, 2): 0.0, (0, 3): 0.0}
     params = params_for(g, thetas)
-    assign = Assignment(z=(0, 1, 0, 1), r_seed=0)
+    assign = Assignment(z=(0, 1, 0, 1))
     want = 2 + 2 * math.sin(0.6)
     assert edge_energy_bound(params, assign, g, (0, 1)) == pytest.approx(want, abs=1e-12)
 
@@ -145,7 +145,7 @@ def test_bound_never_exceeds_exact():
         g = random_graph(rng, n, p=0.6)
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(z=z, r_seed=0)
+        assign = Assignment(z=z)
         cut, _ = edge_closed_forms(params, g)
         for (i, j, _), exact in zip(g.edges, cut):
             if z[i] != z[j]:
@@ -157,7 +157,7 @@ def test_totals_zero_angles_give_half_cut_value():
     g = random_graph(rng, 6, p=0.7)
     params = params_for(g, {(i, j): 0.0 for i, j, _ in g.edges})
     z = tuple(int(b) for b in rng.integers(0, 2, 6))
-    assign = Assignment(z=z, r_seed=0)
+    assign = Assignment(z=z)
     report = total_energy(params, assign, g)
     assert report.bound_total == pytest.approx(classical_energy(g, z), abs=1e-12)
     assert report.exact_total == pytest.approx(classical_energy(g, z), abs=1e-12)
@@ -166,7 +166,7 @@ def test_totals_zero_angles_give_half_cut_value():
 def test_totals_empty_graph():
     g = Graph(n=3, edges=())
     params = EdgeParameters(gamma={}, theta={}, alpha0=0.041)
-    report = total_energy(params, Assignment(z=(0, 1, 0), r_seed=0), g)
+    report = total_energy(params, Assignment(z=(0, 1, 0)), g)
     assert report.bound_total == 0.0
     assert report.exact_total == 0.0
 
@@ -178,7 +178,7 @@ def test_total_energy_rows_equal_per_edge_functions():
         g = random_graph(rng, n, p=0.6)
         params = random_params(g, rng)
         z = tuple(int(b) for b in rng.integers(0, 2, n))
-        assign = Assignment(z=z, r_seed=0)
+        assign = Assignment(z=z)
         report = total_energy(params, assign, g)
         for row, c, u in zip(report.edges, *edge_closed_forms(params, g)):
             assert row.bound == edge_energy_bound(params, assign, g, row.edge)
@@ -189,7 +189,7 @@ def test_gate_order_independence():
     rng = np.random.default_rng(7)
     g = diamond_graph()
     params = random_params(g, rng)
-    assign = Assignment(z=(0, 1, 1, 0), r_seed=0)
+    assign = Assignment(z=(0, 1, 1, 0))
     circ = build_circuit(assign, params, g)
     base = expectation(simulate(circ), g)
     for _ in range(5):
@@ -202,7 +202,7 @@ def test_gate_order_independence():
 def test_report_serialization():
     g = generate("complete", {"n": 2})
     params = params_for(g, {(0, 1): 0.1})
-    report = total_energy(params, Assignment(z=(0, 1), r_seed=0), g)
+    report = total_energy(params, Assignment(z=(0, 1)), g)
     payload = report.to_json_dict()
     assert set(payload) == {"edges", "bound_total", "exact_total"}
     assert payload["edges"][0]["edge"] == "0-1"
@@ -225,7 +225,7 @@ def test_cut_edge_energies_do_not_depend_on_orientation(data):
         s, A, B, even_subset_sum, plus, rest = _cut_edge_terms(params, g.neighbors, p, q)
         assert _cut_edge_terms(params, g.neighbors, q, p) == \
             (s, B, A, even_subset_sum, plus, rest)
-        only_p = Assignment(z=tuple(int(k == p) for k in range(n)), r_seed=0)
+        only_p = Assignment(z=tuple(int(k == p) for k in range(n)))
         assert edge_energy_bound(params, only_p, g, (p, q)) == \
             edge_energy_bound(params, only_p, g, (q, p))
 
@@ -243,7 +243,7 @@ def test_edge_closed_forms_match_the_statevector(data):
     z = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="z"))
     g = Graph.from_edges(n, [(i, j, 1.0) for i, j in pairs])
     params = params_for(g, dict(zip(pairs, thetas)))
-    assign = Assignment(z=z, r_seed=0)
+    assign = Assignment(z=z)
     cut, uncut = edge_closed_forms(params, g)
     psi = simulate(build_circuit(assign, params, g), limit=n)
     for (i, j, _), c, u, energy in zip(g.edges, cut, uncut, edge_energies(psi, g)):

@@ -85,7 +85,7 @@ def test_edge_energy_depends_on_z_only_through_its_cut_bit(data):
     closed = {(i, j): (c, u) for (i, j, _), c, u in zip(g.edges, *edge_closed_forms(params, g))}
     seen = {(e, cut): [] for e in pairs for cut in (False, True)}
     for z in itertools.product((0, 1), repeat=n):
-        assign = Assignment(z=z, r_seed=0)
+        assign = Assignment(z=z)
         energies = edge_energies(simulate(build_circuit(assign, params, g)), g)
         for (i, j), energy in zip(pairs, energies):
             cut = z[i] != z[j]

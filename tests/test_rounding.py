@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_NAMES
@@ -15,7 +15,8 @@ from qmcut import (
     theta_map,
 )
 from qmcut.oracle import simulate
-from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, outcome_json_dict, sample_seeds
+from qmcut.rounding import (ALPHA0_DEFAULT, CUT_CHUNK, EdgeParameters, outcome_json_dict,
+                            sample_cuts)
 from qmcut.sdp import EPS_EXTRACT
 
 
@@ -28,10 +29,33 @@ def test_sample_assignment_deterministic():
     assert sample_assignment(vs, 43) != a
 
 
-@given(st.integers(0, 2**63), st.integers(0, 50), st.integers(0, 50))
+_PREFIX_VS = synthetic_solution(random_unit_rows(np.random.default_rng(9), 5))
+
+
+@given(st.integers(0, 2**63), st.integers(0, 2 * CUT_CHUNK + 3), st.integers(0, CUT_CHUNK + 3))
+@example(seed=7, k=CUT_CHUNK - 1, m=2)
+@example(seed=7, k=CUT_CHUNK, m=1)
+@example(seed=7, k=CUT_CHUNK + 1, m=CUT_CHUNK)
 @settings(max_examples=50, deadline=None)
-def test_sample_seeds_prefix_stable(master, k, m):
-    assert np.array_equal(sample_seeds(master, k), sample_seeds(master, k + m)[:k])
+def test_sample_cuts_prefix_stable(seed, k, m):
+    # the first k cuts of a stream do not depend on how many are drawn, across chunks too
+    head = sample_cuts(_PREFIX_VS, seed, k)
+    assert head.shape == (k, 5) and head.dtype == bool
+    assert np.array_equal(head, sample_cuts(_PREFIX_VS, seed, k + m)[:k])
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_replay_equals_the_batch_row(name, solved):
+    # sample_assignment(vs, s, k) is row k of the batch, bitwise, on both sides of a
+    # chunk boundary; and the chunked batch is the per-vector cut F r >= 0 of one
+    # unchunked draw of the stream
+    vs = solved(name).vectors
+    count = 2 * CUT_CHUNK + 5
+    Z = sample_cuts(vs, 11, count)
+    for k in (0, 1, CUT_CHUNK - 1, CUT_CHUNK, CUT_CHUNK + 1, count - 1):
+        assert sample_assignment(vs, 11, k).z == tuple(Z[k].astype(int).tolist()), k
+    R = np.random.default_rng(11).standard_normal((count, len(vs.F)))
+    assert np.array_equal(Z, [vs.F @ r >= 0.0 for r in R])
 
 
 def test_sample_assignment_identical_vectors_never_split():
@@ -58,17 +82,14 @@ def test_sample_assignment_marginals_uniform():
     rng = np.random.default_rng(4)
     vs = synthetic_solution(random_unit_rows(rng, 5))
     samples = 20_000
-    counts = np.zeros(5)
-    for seed in range(samples):
-        counts += sample_assignment(vs, seed).z
-    freq = counts / samples
+    freq = sample_cuts(vs, 0, samples).mean(axis=0)
     margin = 5 * math.sqrt(0.25 / samples)
     assert np.all(np.abs(freq - 0.5) <= margin)
 
 
 def _assert_cut_frequencies_match_gram(vs, samples: int) -> None:
-    # Pr[z_i != z_j] = arccos(G_ij) / pi over seeds 0..samples-1, within 5 sigma
-    z = np.array([sample_assignment(vs, seed).z for seed in range(samples)])
+    # Pr[z_i != z_j] = arccos(G_ij) / pi over the rows of one stream, within 5 sigma
+    z = sample_cuts(vs, 0, samples)
     freq = (z[:, :, None] != z[:, None, :]).mean(axis=0)
     n = len(vs.G)
     for i in range(n):
@@ -194,9 +215,9 @@ def test_build_circuit_pauli_letters():
     from qmcut.rounding import Assignment
     g = generate("complete", {"n": 2})
     params = _k2_params()
-    circ = build_circuit(Assignment(z=(0, 1), r_seed=0), params, g)
+    circ = build_circuit(Assignment(z=(0, 1)), params, g)
     assert circ.gates[0].paulis == ("Y", "X")
-    circ = build_circuit(Assignment(z=(1, 1), r_seed=0), params, g)
+    circ = build_circuit(Assignment(z=(1, 1)), params, g)
     assert circ.gates[0].paulis == ("X", "X")
 
 
@@ -207,7 +228,7 @@ def test_build_circuit_zero_angles_fixes_bit_string():
     theta = {e: 0.0 for e in gamma}
     params = EdgeParameters(gamma=gamma, theta=theta, alpha0=0.041)
     z = (1, 0, 1, 0)
-    psi = simulate(build_circuit(Assignment(z=z, r_seed=0), params, g))
+    psi = simulate(build_circuit(Assignment(z=z), params, g))
     assert abs(psi[sum(b << i for i, b in enumerate(z))]) == pytest.approx(1.0)
 
 
@@ -216,7 +237,7 @@ def test_build_circuit_missing_parameter():
     g = generate("path", {"n": 3})
     params = _k2_params()  # only covers edge (0, 1)
     with pytest.raises(ValueError, match="missing"):
-        build_circuit(Assignment(z=(0, 1, 0), r_seed=0), params, g)
+        build_circuit(Assignment(z=(0, 1, 0)), params, g)
 
 
 def test_build_circuit_gates_commute_structurally(solved):
@@ -235,12 +256,16 @@ def test_cut_bound_on_k2_solution(solved):
     inst = solved("K2")
     gammas = compute_gammas(inst.vectors, inst.graph)
     assert gammas[(0, 1)] == pytest.approx(1.0, abs=1e-4)
-    cuts = sum(
-        sample_assignment(inst.vectors, seed).z[0] != sample_assignment(inst.vectors, seed).z[1]
-        for seed in range(2000)
-    )
-    # antipodal single vectors: every sample cuts the edge
-    assert cuts == 2000
+    # The solved singles are antipodal only to the solver's accuracy (G_01 =
+    # -0.99999998), so a sample leaves the edge uncut with probability
+    # 1 - arccos(G_01)/pi = 6.3e-5, and only when its hyperplane passes between
+    # F_0 and -F_1: same signs of F_0 . r and F_1 . r force
+    # |F_0 . r| <= |(F_0 + F_1) . r|.
+    F = inst.vectors.F
+    R = np.random.default_rng(0).standard_normal((2000, 2))
+    Z = sample_cuts(inst.vectors, 0, 2000)
+    uncut = R[Z[:, 0] == Z[:, 1]]
+    assert np.all(np.abs(uncut @ F[0]) <= np.abs(uncut @ (F[0] + F[1])))
 
 
 def test_outcome_serialization():
@@ -249,7 +274,6 @@ def test_outcome_serialization():
     assign = sample_assignment(vs, 17)
     params = _k2_params()
     payload = outcome_json_dict(assign, params)
-    assert set(payload) == {"z", "gamma", "theta", "alpha0", "seed"}
-    assert payload["seed"] == 17
+    assert set(payload) == {"z", "gamma", "theta", "alpha0"}
     assert payload["z"] == "".join(str(b) for b in assign.z)
     assert payload["gamma"] == {"0-1": 1.0}
