@@ -20,8 +20,8 @@ from .sdp import VectorSolution
 
 ALPHA0_DEFAULT = 0.041
 
-# Gaussian rows per product in sample_cuts: a run holds one chunk of normals, not
-# all of them, and default_rng draws the same stream row after row at any chunk size.
+# Normal rows per product in sample_cuts (same stream at any size): float64 R is 8x bool
+# Z, and one unchunked draw read about 7% more audit_cf peak RSS (BENCH_21.json).
 CUT_CHUNK = 4096
 
 # Bit value -> rotation letter on that qubit.
