@@ -1,16 +1,17 @@
-"""Numerical certification: the rounding constants and audits of solved instances.
+"""Certification: the rounding constants and audits of solved instances.
 
-The two scalar constants are obtained by dense-grid bracketing plus
-golden-section refinement of smooth 1-D objectives.  Instance audits check the
-structural inequalities that the approximation guarantee rests on.  Per-vertex
-monogamy slack, positive-overlap sums and the per-edge cut probability
-arccos(G_ij)/pi are closed forms read from the solution; only the per-edge
-approximation ratio is a Monte-Carlo estimate, over the rows of one seeded
-random stream (rounding.sample_cuts).  Its per-edge values depend on a sample
-only through that edge's cut bit, so it counts cut samples per edge and forms
-each edge's cut and uncut values once: closed forms, checked once on the
-statevector within the simulator limit, and above it the certified bound
-edge_energy_bound of a cut edge and 0 of an uncut one.
+The constants alpha_gw (Goemans & Williamson 1995) and the guarantee ratio are
+minima of quotients of monotone factors, bounded below on a cell from its
+endpoints alone (Moore, Kearfott & Cloud 2009).  One branch and bound brackets
+both: the best evaluated point is the value, and the least cell bound left, a
+certified lower bound.  Instance audits check the inequalities the guarantee
+rests on: monogamy slack, positive-overlap sums and the cut probability
+arccos(G_ij)/pi are closed forms; the per-edge ratio is a Monte-Carlo estimate
+over the rows of one seeded stream (rounding.sample_cuts).  An edge's value
+depends on a sample only through its cut bit, so the audit counts cut samples
+per edge and forms each edge's cut and uncut values once: closed forms,
+checked once on the statevector within the simulator limit, and above it the
+certified bound edge_energy_bound of a cut edge and 0 of an uncut one.
 """
 
 from __future__ import annotations
@@ -36,72 +37,107 @@ RATIO_TARGET = 0.562
 # Default Monte-Carlo sample count of the per-edge ratio audit.
 RATIO_SAMPLES = 20_000
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Branch and bound stops once best value minus certified lower bound is under
+# this.  The alpha_gw bracket then holds at most 24 100 cells (56 300 at 1e-9), and
+# the ratio's argmin at alpha0 = 1e308 lands within 1e-6 of 1 (1.9e-6 away at 1e-7).
+_BRACKET_TOL = 5e-9
+
+# Widening of every cell bound for rounding, if numpy's arccos and exp are within
+# 4 ulp (sqrt is correctly rounded).  A bound of 4 such calls and 20 rounded
+# operations is within 40 ulp < 1e-14 relative.  u = 1 - e^(-2 alpha0 gamma) is
+# within 5 * 2^-53 absolute (the exp's 4 ulp below 1, and 2^-53 / e from its rounded
+# exponent), not relative near gamma = 0: the ratio's cell bound takes sqrt(u - 2^-50).
+_REL_SLACK = 1e-12
+_U_SLACK = 2.0 ** -50
+
+# Ends branch and bound whatever the objective (the brackets here take under
+# 30 halvings); a bracket cut short is wider, and the audit reports its width.
+_MAX_SPLITS = 64
 
 
-def _golden_refine(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _bracket_min(f, cell_lower, lo: float, hi: float) -> tuple[float, float, float]:
+    """(certified lower, best value, argmin) of f on [lo, hi] by branch and bound.
 
-
-def grid_golden_min(f, lo: float, hi: float, points: int = 10001,
-                    tol: float = 1e-8) -> tuple[float, float]:
-    """Dense-grid bracketing then golden-section refinement; returns (x*, f(x*))."""
-    xs = np.linspace(lo, hi, points)
-    vals = f(xs)
-    k = int(np.argmin(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, points - 1)]
-    x = _golden_refine(lambda t: float(f(t)), float(a), float(b), tol)
-    fx = float(f(x))
-    # The refined point can only improve on the bracketing grid point.
-    if vals[k] < fx:
-        x, fx = float(xs[k]), float(vals[k])
-    return x, fx
+    f is evaluated at every cell endpoint; cell_lower(a, b) bounds f below on
+    [a, b].  Each level halves the cells whose bound is more than _BRACKET_TOL
+    under the best value and retires the rest, keeping their least bound.
+    """
+    xs = np.array([lo, hi])
+    a, b = xs[:1], xs[1:]
+    best, arg, floor = math.inf, lo, math.inf
+    for _ in range(_MAX_SPLITS):
+        values = f(xs)
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best, arg = float(values[k]), float(xs[k])
+        lower = cell_lower(a, b)
+        retired = lower >= best - _BRACKET_TOL
+        floor = min(floor, float(lower[retired].min(initial=math.inf)))
+        a, b = a[~retired], b[~retired]
+        if not a.size:
+            break
+        xs = a + (b - a) / 2.0
+        a, b = np.concatenate((a, xs)), np.concatenate((xs, b))
+    else:
+        floor = min(floor, float(cell_lower(a, b).min()))
+    return min(floor, best), best, arg
 
 
 def hyperplane_cut_objective(t):
     """Probability-to-share ratio of a hyperplane cut at inner product t."""
-    t = np.asarray(t, dtype=float)
     return (np.arccos(t) / np.pi) / ((1.0 - t) / 2.0)
 
 
+def _cut_cell_lower(a, b):
+    """Lower bound of hyperplane_cut_objective on [a, b]: arccos t and 1 - t decrease."""
+    return (np.arccos(b) / np.pi) / ((1.0 - a) / 2.0) * (1.0 - _REL_SLACK)
+
+
 @lru_cache(maxsize=1)
+def _alpha_gw_bracket() -> tuple[float, float, float]:
+    # At t = 1 the objective is 0/0; past 1 - 1e-9 it is over 2.8e4, as arccos t >= sqrt(2(1 - t)).
+    return _bracket_min(hyperplane_cut_objective, _cut_cell_lower, -1.0, 1.0 - 1e-9)
+
+
 def alpha_gw() -> tuple[float, float]:
-    """(value, argmin t) of the worst-case hyperplane cut ratio; ~0.8785672."""
-    t, val = grid_golden_min(hyperplane_cut_objective, -1.0, 1.0 - 1e-9, points=20001)
-    return val, t
+    """(value, argmin t) of the worst-case hyperplane cut ratio, ~0.8785672 (an upper bound)."""
+    _, value, t = _alpha_gw_bracket()
+    return value, t
 
 
-def ratio_objective(gamma, alpha0: float, agw: float | None = None):
-    """Per-edge guarantee ratio as a function of the overlap gamma in [0, 1]."""
-    if agw is None:
-        agw = alpha_gw()[0]
-    gamma = np.asarray(gamma, dtype=float)
-    # alpha0 is scaled by gamma and by 1 - gamma before the exact factor 2, so
-    # the endpoints give a zero exponent, never inf * 0.  Only the doubling can
-    # overflow, to -inf, whose exp is exactly 0.
+def _cut_edge_bound(gamma, alpha0: float, u_slack: float = 0.0):
+    """1 + s(A + B) + AB at A = B = e^(-alpha0 (1 - gamma)), s = sqrt(u - u_slack).
+
+    alpha0 is scaled by gamma or 1 - gamma before the exact factor 2, so the
+    endpoints give exponent 0, never inf * 0; only the doubling overflows, to -inf.
+    """
     with np.errstate(over="ignore"):
-        sin_term = np.sqrt(np.clip(1.0 - np.exp(-2.0 * (alpha0 * gamma)), 0.0, None))
-        bracket = (1.0
-                   + 2.0 * sin_term * np.exp(-alpha0 * (1.0 - gamma))
-                   + np.exp(-2.0 * (alpha0 * (1.0 - gamma))))
-    return (agw / 6.0) * bracket * (2.0 + gamma) / (1.0 + gamma)
+        sin_term = np.sqrt(np.clip(1.0 - np.exp(-2.0 * (alpha0 * gamma)) - u_slack, 0.0, None))
+        return (1.0
+                + 2.0 * sin_term * np.exp(-alpha0 * (1.0 - gamma))
+                + np.exp(-2.0 * (alpha0 * (1.0 - gamma))))
 
 
-def ratio_constant(alpha0: float = ALPHA0_DEFAULT, points: int = 10001) -> tuple[float, float]:
+def ratio_objective(gamma, alpha0: float):
+    """Per-edge guarantee ratio as a function of the overlap gamma in [0, 1]."""
+    return (alpha_gw()[0] / 6.0) * _cut_edge_bound(gamma, alpha0) * (2.0 + gamma) / (1.0 + gamma)
+
+
+def _ratio_cell_lower(a, b, alpha0: float):
+    """Lower bound of ratio_objective on [a, b] at the certified lower alpha_gw: the
+    cut-edge bound does not decrease in gamma (no term does); (2 + gamma)/(1 + gamma) does."""
+    return ((_alpha_gw_bracket()[0] / 6.0) * _cut_edge_bound(a, alpha0, _U_SLACK)
+            * (2.0 + b) / (1.0 + b) * (1.0 - _REL_SLACK))
+
+
+@lru_cache(maxsize=256)
+def _ratio_bracket(alpha0: float) -> tuple[float, float, float]:
+    check_alpha0(alpha0)
+    return _bracket_min(lambda g: ratio_objective(g, alpha0),
+                        lambda a, b: _ratio_cell_lower(a, b, alpha0), 0.0, 1.0)
+
+
+def ratio_constant(alpha0: float = ALPHA0_DEFAULT) -> tuple[float, float]:
     """(value, argmin gamma) of the guarantee ratio minimized over gamma in [0, 1].
 
     The ratio is P(cut) * (cut-edge energy bound) / (SDP share), with
@@ -115,40 +151,29 @@ def ratio_constant(alpha0: float = ALPHA0_DEFAULT, points: int = 10001) -> tuple
       A, B >= e^(-alpha0 (1 - gamma)) (positive_overlap_audit);
     - the share is 1 - v_ij . v0 = 2(1 + gamma).
 
-    Overlaps below zero are dominated by gamma = 0 (the angle is zero there and
-    the remaining factor decreases toward zero), so the minimization domain is
-    exactly [0, 1].
+    Overlaps gamma in (-1, 0) are dominated by gamma = 0, so the domain is
+    [0, 1].  Proof: there theta = 0, so s = 0; positive_overlap_audit gives
+    A, B >= e^(-alpha0), so the ratio is at least
+    (alpha_gw / 6)(1 + e^(-2 alpha0))(2 + gamma)/(1 + gamma), and as
+    (2 + gamma)/(1 + gamma) decreases, that is at least ratio_objective(0).
 
-    At alpha0 = 0.041 the minimum is at the endpoint gamma = 1, where the ratio
+    The value is an upper bound that minimizer_consistency_audit brackets.  At
+    alpha0 = 0.041 the minimum is at the endpoint gamma = 1, where the ratio
     is (alpha_gw / 2)(1 + sqrt(1 - e^(-2 alpha0))) = 0.56254007.  The max over
     alpha0 of the minimum lies where the two endpoint values meet,
     4x^2 + 5x - 8 = 0 with x = e^(-2 alpha0): alpha0* ~ 0.04106, value
     ~ 0.562624.  Both values truncate to the three-digit constant 0.562.
     """
-    check_alpha0(alpha0)
-    agw = alpha_gw()[0]
-    gamma, val = grid_golden_min(lambda g: ratio_objective(g, alpha0, agw), 0.0, 1.0,
-                                 points=points)
-    return val, gamma
+    _, value, gamma = _ratio_bracket(alpha0)
+    return value, gamma
 
 
-def ratio_constant_grid_only(alpha0: float = ALPHA0_DEFAULT, points: int = 10001) -> float:
-    """Dense-grid minimum alone, as an independent check on the refined value."""
-    gammas = np.linspace(0.0, 1.0, points)
-    return float(np.min(ratio_objective(gammas, alpha0)))
-
-
-def sweep_alpha0(lo: float = 0.0, hi: float = 0.2, step: float = 1e-3,
-                 points: int = 2001) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Guarantee constant across alpha0; returns (argmax alpha0, (alpha0, value) table)."""
-    table = []
-    best = (lo, -math.inf)
-    for alpha0 in np.arange(lo, hi + step / 2.0, step):
-        val = ratio_constant(float(alpha0), points=points)[0]
-        table.append((float(alpha0), val))
-        if val > best[1]:
-            best = (float(alpha0), val)
-    return best[0], tuple(table)
+def sweep_alpha0(lo: float = 0.0, hi: float = 0.2,
+                 step: float = 1e-3) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """(argmax alpha0, (alpha0, certified lower bound) table) of the guarantee constant."""
+    table = tuple((float(a), _ratio_bracket(float(a))[0])
+                  for a in np.arange(lo, hi + step / 2.0, step))
+    return max(table, key=lambda row: row[1])[0], table
 
 
 # --------------------------------------------------------------------------- #
@@ -161,10 +186,6 @@ class Audit:
     passed: bool
     margin: float               # smallest signed slack observed across rows
     rows: tuple[dict, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "margin": self.margin,
-                "rows": list(self.rows)}
 
 
 def monogamy_audit(vs: VectorSolution, g: Graph) -> Audit:
@@ -192,11 +213,11 @@ def cut_probability_audit(vs: VectorSolution, g: Graph) -> Audit:
 
     One hyperplane cut on G (sample_assignment) separates i and j with
     probability arccos(G_ij)/pi (Goemans & Williamson 1995), and
-    arccos(t)/pi >= alpha_gw (1 - t)/2 at t = G_ij = -(1 + 2 gamma)/3 is the
-    bound; every margin is nonnegative up to extraction noise.
+    arccos(t)/pi >= alpha_gw (1 - t)/2 at t = G_ij = -(1 + 2 gamma)/3, with alpha_gw
+    certified from below, is the bound; every margin is >= 0 up to extraction noise.
     """
     tol = 10.0 * EPS_EXTRACT
-    agw = alpha_gw()[0]
+    agw = _alpha_gw_bracket()[0]
     rows = []
     for (i, j), gamma in compute_gammas(vs, g).items():
         probability = math.acos(min(max(float(vs.G[i, j]), -1.0), 1.0)) / math.pi
@@ -289,12 +310,14 @@ def positive_overlap_audit(vs: VectorSolution, g: Graph) -> Audit:
 
 
 def minimizer_consistency_audit(alpha0: float = ALPHA0_DEFAULT) -> Audit:
-    """Dense-grid and golden-refined minima of the ratio objective must agree."""
-    refined = ratio_constant(alpha0)[0]
-    grid = ratio_constant_grid_only(alpha0)
-    diff = abs(refined - grid)
-    return Audit(name="minimizer_consistency", passed=diff <= 1e-6, margin=1e-6 - diff,
-                 rows=({"refined": refined, "grid": grid, "difference": diff},))
+    """Each constant's certified bracket must be at most 1e-6 wide: one row per
+    constant, upper the value alpha_gw or ratio_constant(alpha0) returns."""
+    rows = tuple({"constant": name, "lower": lower, "upper": upper, "width": upper - lower}
+                 for name, (lower, upper, _) in (("alpha_gw", _alpha_gw_bracket()),
+                                                 ("ratio_constant", _ratio_bracket(alpha0))))
+    widest = max(row["width"] for row in rows)
+    return Audit(name="minimizer_consistency", passed=widest <= 1e-6, margin=1e-6 - widest,
+                 rows=rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -319,16 +342,6 @@ class Certificate:
     def all_passed(self) -> bool:
         return all(a.passed for a in self.audits)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha_gw": self.alpha_gw,
-            "alpha_gw_argmin_t": self.alpha_gw_argmin_t,
-            "ratio_constant": self.ratio_constant,
-            "ratio_argmin_gamma": self.ratio_argmin_gamma,
-            "alpha0_used": self.alpha0_used,
-            "audits": [a.to_json_dict() for a in self.audits],
-        }
-
 
 def build_certificate(vs: VectorSolution | None = None, g: Graph | None = None,
                       alpha0: float = ALPHA0_DEFAULT, ratio_samples: int = RATIO_SAMPLES,
@@ -336,20 +349,13 @@ def build_certificate(vs: VectorSolution | None = None, g: Graph | None = None,
     """Constants plus, when a solved instance is supplied, the full audit set."""
     agw, agw_t = alpha_gw()
     ratio, ratio_gamma = ratio_constant(alpha0)
-    audits: list[Audit] = [minimizer_consistency_audit(alpha0)]
+    audits = (minimizer_consistency_audit(alpha0),)
     if vs is not None:
         if g is None:
             raise ValueError("a graph is required to audit a vector solution")
-        audits.append(monogamy_audit(vs, g))
-        audits.append(positive_overlap_audit(vs, g))
-        audits.append(cut_probability_audit(vs, g))
-        audits.append(per_edge_ratio_audit(vs, g, samples=ratio_samples, alpha0=alpha0,
-                                           seed=seed, sim_limit=sim_limit))
-    return Certificate(
-        alpha_gw=agw,
-        alpha_gw_argmin_t=agw_t,
-        ratio_constant=ratio,
-        ratio_argmin_gamma=ratio_gamma,
-        alpha0_used=alpha0,
-        audits=tuple(audits),
-    )
+        audits += (monogamy_audit(vs, g), positive_overlap_audit(vs, g),
+                   cut_probability_audit(vs, g),
+                   per_edge_ratio_audit(vs, g, samples=ratio_samples, alpha0=alpha0, seed=seed,
+                                        sim_limit=sim_limit))
+    return Certificate(alpha_gw=agw, alpha_gw_argmin_t=agw_t, ratio_constant=ratio,
+                       ratio_argmin_gamma=ratio_gamma, alpha0_used=alpha0, audits=audits)

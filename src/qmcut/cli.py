@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +111,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     except SolverError as exc:
         report["status"] = "solver_failure"
         report["stage"] = stage
-        report["sdp"] = {"residuals": exc.residuals.to_json_dict()}
+        report["sdp"] = {"residuals": asdict(exc.residuals)}
         report["timings"] = None if cfg.deterministic else {
             "solve_s": time.perf_counter() - t0,
             "total_s": time.perf_counter() - t_start,
@@ -120,7 +120,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     timings["solve_s"] = time.perf_counter() - t0
     report["sdp"] = {
         "objective": gram.objective,
-        **gram.residuals.to_json_dict(),
+        **asdict(gram.residuals),
         "extraction_error": vs.extraction_error,
     }
 
@@ -181,7 +181,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     else:
         cert = certify_mod.build_certificate(alpha0=cfg.alpha0)
         cert = dataclasses.replace(cert, audits=cert.audits + (certify_mod.monogamy_audit(vs, g),))
-    report["certificate"] = cert.to_json_dict()
+    report["certificate"] = asdict(cert)
     timings["certify_s"] = time.perf_counter() - t0
     timings["total_s"] = time.perf_counter() - t_start
 
@@ -309,7 +309,7 @@ def cmd_solve(args) -> int:
         "schema": SOLVE_SCHEMA,
         "instance": source,
         "objective": gram.objective,
-        **gram.residuals.to_json_dict(),
+        **asdict(gram.residuals),
         "extraction_error": vs.extraction_error,
         "edge_share": {f"{i}-{j}": w / 4.0 * (1.0 - vs.pair_sum_dot_unit(i, j))
                        for i, j, w in g.edges},
@@ -353,7 +353,7 @@ def cmd_certify(args) -> int:
                                              seed=args.seed, sim_limit=args.sim_limit)
     else:
         cert = certify_mod.build_certificate(alpha0=args.alpha0)
-    payload = cert.to_json_dict()
+    payload = asdict(cert)
     if args.sweep:
         best_alpha0, table = certify_mod.sweep_alpha0()
         payload["sweep"] = {"argmax_alpha0": best_alpha0,

@@ -241,14 +241,6 @@ class Residuals:
     iterations: int
     converged: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_constraint": self.max_constraint,
-            "min_eigenvalue": self.min_eigenvalue,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class GramSolution:

@@ -12,10 +12,11 @@ from itertools import permutations
 import numpy as np
 
 from qmcut import Graph
-from qmcut.certify import RATIO_TARGET
+from qmcut.certify import RATIO_TARGET, minimizer_consistency_audit
 from qmcut.energy import _cut_edge_terms, edge_energy_bound, total_energy
 from qmcut.oracle import _apply_pauli, edge_energies, expectation, simulate
-from qmcut.rounding import Assignment, EdgeParameters, build_circuit, sample_cuts
+from qmcut.rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit,
+                            sample_cuts)
 from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL, GramIndex,
                        GramSolution, Residuals, SdpModel, SolverConfig, SolverError, VectorSolution,
                        constraint_residual)
@@ -295,3 +296,9 @@ def reference_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: flo
                      "margin": ratio - (RATIO_TARGET - 5.0 * sigma), "skipped": False,
                      "exact": exact})
     return rows
+
+
+def certified_lower(constant: str, alpha0: float = ALPHA0_DEFAULT) -> float:
+    """A constant's certified lower bound, read from the minimizer_consistency rows."""
+    return next(row["lower"] for row in minimizer_consistency_audit(alpha0).rows
+                if row["constant"] == constant)

@@ -14,8 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from conftest import BENCH_NAMES, bench_graph
-from helpers import (diamond_graph, edge_pauli_terms, haar_state, moment_matrix_from_state,
-                     pair_sum_gram, random_graph)
+from helpers import (certified_lower, diamond_graph, edge_pauli_terms, haar_state,
+                     moment_matrix_from_state, pair_sum_gram, random_graph)
 from qmcut import (
     alpha_gw,
     build_model,
@@ -198,10 +198,11 @@ def test_criterion_5_energy_closed_form():
 
 def test_criterion_6_cut_probability(solved):
     # One hyperplane cut on G separates i and j with probability arccos(G_ij)/pi;
-    # the bound (alpha_gw/3)(2 + gamma) is alpha_gw (1 - G_ij)/2.
+    # the bound (alpha_gw/3)(2 + gamma) is alpha_gw (1 - G_ij)/2, with alpha_gw
+    # at its certified lower bound.
     t0 = time.perf_counter()
     failures = []
-    agw = alpha_gw()[0]
+    agw = certified_lower("alpha_gw")
     for name in BENCH_NAMES:
         inst = solved(name)
         G = inst.vectors.G

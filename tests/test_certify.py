@@ -1,14 +1,18 @@
+import json
 import math
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assignments, random_unit_rows, reference_ratio_rows, synthetic_solution
+from helpers import (assignments, certified_lower, random_unit_rows, reference_ratio_rows,
+                     synthetic_solution)
 from qmcut import (
     Graph,
     alpha_gw,
@@ -24,10 +28,11 @@ from qmcut import (
 )
 from qmcut.certify import (
     RATIO_TARGET,
+    _cut_cell_lower,
+    _ratio_cell_lower,
     hyperplane_cut_objective,
     minimizer_consistency_audit,
     positive_overlap_audit,
-    ratio_constant_grid_only,
     ratio_objective,
 )
 from qmcut.energy import edge_energy_bound
@@ -104,7 +109,62 @@ def test_ratio_objective_sin_and_surd_forms_agree():
 def test_minimizer_consistency():
     audit = minimizer_consistency_audit(0.041)
     assert audit.passed
-    assert abs(ratio_constant(0.041)[0] - ratio_constant_grid_only(0.041)) <= 1e-6
+    rows = {row["constant"]: row for row in audit.rows}
+    assert list(rows) == ["alpha_gw", "ratio_constant"]
+    assert rows["alpha_gw"]["upper"] == alpha_gw()[0]
+    assert rows["ratio_constant"]["upper"] == ratio_constant(0.041)[0]
+    for row in rows.values():
+        assert row["lower"] <= row["upper"]
+        assert row["width"] == row["upper"] - row["lower"] <= 1e-6
+    assert audit.margin == 1e-6 - max(row["width"] for row in rows.values())
+
+
+def test_ratio_lower_bound_clears_target():
+    # The paper's 0.562 is proven at alpha0 = 0.041, not only estimated.  The
+    # audit itself checks only the bracket width, so other alpha0 still pass.
+    assert certified_lower("ratio_constant", 0.041) >= RATIO_TARGET
+
+
+GRID_GOLDEN_MINIMA = json.loads(
+    (Path(__file__).parent / "data" / "grid_golden_minima.json").read_text(encoding="utf-8"))
+
+
+def test_brackets_contain_grid_golden_minima():
+    # The grid + golden-section minimizer that the branch and bound replaced
+    # found these values; each must lie in the certified bracket.
+    for alpha0, value in GRID_GOLDEN_MINIMA["ratio_constant"]:
+        rows = {row["constant"]: row for row in minimizer_consistency_audit(alpha0).rows}
+        assert rows["ratio_constant"]["lower"] <= value <= rows["ratio_constant"]["upper"]
+        assert abs(ratio_constant(alpha0)[0] - value) <= 1e-12
+    agw = GRID_GOLDEN_MINIMA["alpha_gw"]
+    assert rows["alpha_gw"]["lower"] <= agw <= rows["alpha_gw"]["upper"]
+    assert abs(alpha_gw()[0] - agw) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 0.2), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+@example(alpha0=0.041, points=[0.5, 0.75, 1.0])
+@example(alpha0=0.2, points=[0.0, 0.0, 1e-300])
+def test_cell_lower_bounds_hold(alpha0, points):
+    # Every cell bound is at most its objective at every point of the cell.
+    a, x, b = sorted(points)
+    assert float(_ratio_cell_lower(np.array([a]), np.array([b]), alpha0)[0]) <= float(
+        ratio_objective(x, alpha0))
+    # The same points stretched over alpha_gw's domain [-1, 1 - 1e-9].
+    a, x, b = (min(2.0 * p - 1.0, 1.0 - 1e-9) for p in (a, x, b))
+    assert float(_cut_cell_lower(np.array([a]), np.array([b]))[0]) <= float(
+        hyperplane_cut_objective(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True))
+def test_negative_overlaps_are_dominated_by_zero(alpha0, gamma):
+    # ratio_constant's proof: at gamma < 0 the ratio is at least
+    # (alpha_gw / 6)(1 + e^(-2 alpha0))(2 + gamma)/(1 + gamma), which is at
+    # least ratio_objective(0); 1e-15 covers the rounding of the last operations.
+    agw = alpha_gw()[0]
+    bound = (agw / 6.0) * (1.0 + np.exp(-2.0 * alpha0)) * (2.0 + gamma) / (1.0 + gamma)
+    assert bound >= float(ratio_objective(0.0, alpha0)) * (1.0 - 1e-15)
 
 
 def test_sweep_brackets_default_alpha0():
@@ -153,7 +213,7 @@ def test_cut_probability_audit_antipodal_synthetic():
     audit = cut_probability_audit(vs, g)
     row = audit.rows[0]
     assert row["probability"] == 1.0
-    assert row["bound"] == pytest.approx(alpha_gw()[0], abs=1e-9)
+    assert row["bound"] == pytest.approx(certified_lower("alpha_gw"), abs=1e-9)
     assert audit.passed
 
 
@@ -302,7 +362,7 @@ def test_certificate_constants_only():
     assert 0.0 < cert.ratio_constant < 1.0
     assert "monogamy" not in {a.name for a in cert.audits}
     assert cert.all_passed()
-    payload = cert.to_json_dict()
+    payload = asdict(cert)
     assert {"alpha_gw", "ratio_constant", "audits"} <= set(payload)
     assert "monogamy_worst_slack" not in payload
 
