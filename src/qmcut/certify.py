@@ -42,17 +42,16 @@ RATIO_SAMPLES = 20_000
 # the ratio's argmin at alpha0 = 1e308 lands within 1e-6 of 1 (1.9e-6 away at 1e-7).
 _BRACKET_TOL = 5e-9
 
-# Widening of every cell bound for rounding, if numpy's arccos and exp are within
-# 4 ulp (sqrt is correctly rounded).  A bound of 4 such calls and 20 rounded
-# operations is within 40 ulp < 1e-14 relative.  u = 1 - e^(-2 alpha0 gamma) is
-# within 5 * 2^-53 absolute (the exp's 4 ulp below 1, and 2^-53 / e from its rounded
-# exponent), not relative near gamma = 0: the ratio's cell bound takes sqrt(u - 2^-50).
+# Widening of every cell bound for rounding, if numpy's arccos, exp and expm1 are within
+# 4 ulp (sqrt is correctly rounded): a bound of 4 such calls and 20 rounded operations
+# is within 40 ulp < 1e-14 relative.
 _REL_SLACK = 1e-12
-_U_SLACK = 2.0 ** -50
 
-# Ends branch and bound whatever the objective (the brackets here take under
-# 30 halvings); a bracket cut short is wider, and the audit reports its width.
+# Past either cap branch and bound retires every cell: the level cap bounds its time (the
+# brackets here take under 30 halvings), the cap on cells to halve its memory (alpha_gw
+# holds at most 24 100).  A bracket cut short is wider, and the audit reports its width.
 _MAX_SPLITS = 64
+_MAX_OPEN = 1 << 15
 
 
 def _bracket_min(f, cell_lower, lo: float, hi: float) -> tuple[float, float, float]:
@@ -65,21 +64,21 @@ def _bracket_min(f, cell_lower, lo: float, hi: float) -> tuple[float, float, flo
     xs = np.array([lo, hi])
     a, b = xs[:1], xs[1:]
     best, arg, floor = math.inf, lo, math.inf
-    for _ in range(_MAX_SPLITS):
+    for level in range(_MAX_SPLITS + 1):
         values = f(xs)
         k = int(np.argmin(values))
         if values[k] < best:
             best, arg = float(values[k]), float(xs[k])
         lower = cell_lower(a, b)
-        retired = lower >= best - _BRACKET_TOL
-        floor = min(floor, float(lower[retired].min(initial=math.inf)))
-        a, b = a[~retired], b[~retired]
+        split = lower < best - _BRACKET_TOL
+        if level == _MAX_SPLITS or np.count_nonzero(split) > _MAX_OPEN:
+            split[:] = False
+        floor = min(floor, float(lower[~split].min(initial=math.inf)))
+        a, b = a[split], b[split]
         if not a.size:
             break
         xs = a + (b - a) / 2.0
         a, b = np.concatenate((a, xs)), np.concatenate((xs, b))
-    else:
-        floor = min(floor, float(cell_lower(a, b).min()))
     return min(floor, best), best, arg
 
 
@@ -105,16 +104,18 @@ def alpha_gw() -> tuple[float, float]:
     return value, t
 
 
-def _cut_edge_bound(gamma, alpha0: float, u_slack: float = 0.0):
-    """1 + s(A + B) + AB at A = B = e^(-alpha0 (1 - gamma)), s = sqrt(u - u_slack).
+def _cut_edge_bound(gamma, alpha0: float, certified: bool = False):
+    """1 + s(A + B) + AB at A = B = e^(-alpha0 (1 - gamma)), s = sqrt(1 - e^(-2 alpha0 gamma)).
 
-    alpha0 is scaled by gamma or 1 - gamma before the exact factor 2, so the
-    endpoints give exponent 0, never inf * 0; only the doubling overflows, to -inf.
+    certified forms 1 - e^(-x) by expm1, relative near x = 0.  alpha0 is scaled by gamma
+    or 1 - gamma before the exact factor 2, so the endpoints give exponent 0, never
+    inf * 0; only the doubling overflows, to -inf.
     """
     with np.errstate(over="ignore"):
-        sin_term = np.sqrt(np.clip(1.0 - np.exp(-2.0 * (alpha0 * gamma)) - u_slack, 0.0, None))
+        x = -2.0 * (alpha0 * gamma)
+        u = -np.expm1(x) if certified else 1.0 - np.exp(x)
         return (1.0
-                + 2.0 * sin_term * np.exp(-alpha0 * (1.0 - gamma))
+                + 2.0 * np.sqrt(u) * np.exp(-alpha0 * (1.0 - gamma))
                 + np.exp(-2.0 * (alpha0 * (1.0 - gamma))))
 
 
@@ -126,7 +127,7 @@ def ratio_objective(gamma, alpha0: float):
 def _ratio_cell_lower(a, b, alpha0: float):
     """Lower bound of ratio_objective on [a, b] at the certified lower alpha_gw: the
     cut-edge bound does not decrease in gamma (no term does); (2 + gamma)/(1 + gamma) does."""
-    return ((_alpha_gw_bracket()[0] / 6.0) * _cut_edge_bound(a, alpha0, _U_SLACK)
+    return ((_alpha_gw_bracket()[0] / 6.0) * _cut_edge_bound(a, alpha0, certified=True)
             * (2.0 + b) / (1.0 + b) * (1.0 - _REL_SLACK))
 
 
@@ -170,10 +171,10 @@ def ratio_constant(alpha0: float = ALPHA0_DEFAULT) -> tuple[float, float]:
 
 def sweep_alpha0(lo: float = 0.0, hi: float = 0.2,
                  step: float = 1e-3) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """(argmax alpha0, (alpha0, certified lower bound) table) of the guarantee constant."""
-    table = tuple((float(a), _ratio_bracket(float(a))[0])
-                  for a in np.arange(lo, hi + step / 2.0, step))
-    return max(table, key=lambda row: row[1])[0], table
+    """(argmax alpha0 of the certified lower bound, (alpha0, value) table) of the ratio."""
+    alphas = [float(a) for a in np.arange(lo, hi + step / 2.0, step)]
+    best = max(alphas, key=lambda a: _ratio_bracket(a)[0])
+    return best, tuple((a, _ratio_bracket(a)[1]) for a in alphas)
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,10 @@ from qmcut import (
     sweep_alpha0,
 )
 from qmcut.certify import (
+    _BRACKET_TOL,
+    _MAX_OPEN,
     RATIO_TARGET,
+    _bracket_min,
     _cut_cell_lower,
     _ratio_cell_lower,
     hyperplane_cut_objective,
@@ -141,19 +144,60 @@ def test_brackets_contain_grid_golden_minima():
     assert abs(alpha_gw()[0] - agw) <= 1e-12
 
 
+def _accurate_ratio(x: float, alpha0: float, agw: float) -> float:
+    # ratio_objective with u = -expm1(-2 alpha0 x), within a few ulp relative;
+    # ratio_objective's 1 - e^(-2 alpha0 x) is off by up to 2^-53 absolute, which
+    # is more than _REL_SLACK of u once 2 alpha0 x is under about 1e-4.
+    s = math.sqrt(-math.expm1(-2.0 * (alpha0 * x)))
+    A = math.exp(-alpha0 * (1.0 - x))
+    return (agw / 6.0) * (1.0 + 2.0 * s * A + A * A) * (2.0 + x) / (1.0 + x)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0.0, 0.2), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+@given(st.floats(0.0, 0.2) | st.floats(1e-18, 1e-12),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
 @example(alpha0=0.041, points=[0.5, 0.75, 1.0])
 @example(alpha0=0.2, points=[0.0, 0.0, 1e-300])
+@example(alpha0=1e-16, points=[1.0 - 1e-12, 1.0, 1.0])
+@example(alpha0=1e-15, points=[1.0 - 1e-12, 1.0, 1.0])
+@example(alpha0=2.4e-16, points=[1.0, 1.0, 1.0])
 def test_cell_lower_bounds_hold(alpha0, points):
-    # Every cell bound is at most its objective at every point of the cell.
+    # Every cell bound is at most its objective at every point of the cell, the
+    # ratio's taken at the same certified lower alpha_gw as its bound, so that
+    # only _REL_SLACK is left to cover the rounding.
     a, x, b = sorted(points)
-    assert float(_ratio_cell_lower(np.array([a]), np.array([b]), alpha0)[0]) <= float(
-        ratio_objective(x, alpha0))
+    assert float(_ratio_cell_lower(np.array([a]), np.array([b]), alpha0)[0]) <= \
+        _accurate_ratio(x, alpha0, certified_lower("alpha_gw"))
     # The same points stretched over alpha_gw's domain [-1, 1 - 1e-9].
     a, x, b = (min(2.0 * p - 1.0, 1.0 - 1e-9) for p in (a, x, b))
     assert float(_cut_cell_lower(np.array([a]), np.array([b]))[0]) <= float(
         hyperplane_cut_objective(x))
+
+
+@pytest.mark.parametrize("alpha0", [1e-16, 1e-15])
+def test_tiny_alpha0_brackets_are_narrow(alpha0):
+    # Below 1e-15, 1 - e^(-2 alpha0) has no relative accuracy; the bound takes u
+    # by expm1, so no cell next to gamma = 1 stays open for want of precision,
+    # and the search ends within _BRACKET_TOL, before either cap cuts it short.
+    audit = minimizer_consistency_audit(alpha0)
+    assert audit.passed
+    assert max(row["width"] for row in audit.rows) <= _BRACKET_TOL
+    assert certified_lower("ratio_constant", alpha0) <= ratio_constant(alpha0)[0]
+
+
+def test_bracket_min_caps_open_cells():
+    # A cell bound that never retires a cell: the frontier doubles until the cap
+    # on open cells retires them all, and the bracket comes back wider.
+    sizes = []
+
+    def f(xs):
+        sizes.append(xs.size)
+        return xs * xs
+
+    lower, best, arg = _bracket_min(f, lambda a, b: np.minimum(a * a, b * b) - 1.0, -1.0, 1.0)
+    assert max(sizes) <= 2 * _MAX_OPEN
+    assert (best, arg) == (0.0, 0.0)
+    assert lower == -1.0
 
 
 @settings(max_examples=200, deadline=None)
