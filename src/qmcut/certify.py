@@ -104,16 +104,15 @@ def alpha_gw() -> tuple[float, float]:
     return value, t
 
 
-def _cut_edge_bound(gamma, alpha0: float, certified: bool = False):
+def _cut_edge_bound(gamma, alpha0: float):
     """1 + s(A + B) + AB at A = B = e^(-alpha0 (1 - gamma)), s = sqrt(1 - e^(-2 alpha0 gamma)).
 
-    certified forms 1 - e^(-x) by expm1, relative near x = 0.  alpha0 is scaled by gamma
+    1 - e^(-x) is formed by expm1, relative near x = 0.  alpha0 is scaled by gamma
     or 1 - gamma before the exact factor 2, so the endpoints give exponent 0, never
     inf * 0; only the doubling overflows, to -inf.
     """
     with np.errstate(over="ignore"):
-        x = -2.0 * (alpha0 * gamma)
-        u = -np.expm1(x) if certified else 1.0 - np.exp(x)
+        u = -np.expm1(-2.0 * (alpha0 * gamma))
         return (1.0
                 + 2.0 * np.sqrt(u) * np.exp(-alpha0 * (1.0 - gamma))
                 + np.exp(-2.0 * (alpha0 * (1.0 - gamma))))
@@ -127,7 +126,7 @@ def ratio_objective(gamma, alpha0: float):
 def _ratio_cell_lower(a, b, alpha0: float):
     """Lower bound of ratio_objective on [a, b] at the certified lower alpha_gw: the
     cut-edge bound does not decrease in gamma (no term does); (2 + gamma)/(1 + gamma) does."""
-    return ((_alpha_gw_bracket()[0] / 6.0) * _cut_edge_bound(a, alpha0, certified=True)
+    return ((_alpha_gw_bracket()[0] / 6.0) * _cut_edge_bound(a, alpha0)
             * (2.0 + b) / (1.0 + b) * (1.0 - _REL_SLACK))
 
 

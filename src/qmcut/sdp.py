@@ -19,11 +19,19 @@ with P = n(n-1)/2 pairs, e = (1, 1, 1)/sqrt(3) the axis sum and f1, f2 two axis
 differences, an invariant M is Q diag(T, S, S) Q^T with T of size 1 + P and S
 of size P (Gatermann & Parrilo 2004; de Klerk, Pasechnik & Schrijver 2007).
 So solve iterates, projects and steps toward the identity on the block form
-diag(T, S), and lifts only its answer; S weighs 2 in the Frobenius norm,
+(T, S), stored as one 2 x (1 + P) x (1 + P) array with S padded by a zero row
+and column, and lifts only its answer; S weighs 2 in the Frobenius norm,
 ||M||^2 = ||T||^2 + 2 ||S||^2.  The d x d projection and solver, which the
 block ones must track, are test references (tests/helpers.py); at run time
 build_model's constraint list is read only by constraint_residual, the final
 check.
+
+The splitting solver is a fixed-point iteration W <- g(W) on its
+pre-projection point W, which holds the whole state: the PSD iterate is
+Z = P+(W) and the scaled dual U = W - Z.  solve extrapolates it by type-II
+Anderson acceleration over the last AA_MEMORY residual differences, in M's
+geometry, and keeps an extrapolated point only if its residual is no larger
+than the plain step's; the plain step is the fallback and the stop test.
 """
 
 from __future__ import annotations
@@ -212,6 +220,9 @@ RHO = 0.5                   # penalty parameter
 OVER_RELAXATION = 1.8
 STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
 CHECK_EVERY = 25
+AA_MEMORY = 10              # residual differences the Anderson step fits over
+AA_REGULARIZATION = 1e-10   # Tikhonov weight, relative to the trace of their Gram matrix
+AA_NOISE = 1e-12            # residual differences below this share of the map value are rounding
 EPS_FEAS = 1e-6             # max constraint residual accepted by solve
 EPS_PSD = 1e-8              # least eigenvalue of M and of G accepted: >= -EPS_PSD
 EPS_EXTRACT = 1e-6          # max |F F^T - G| accepted by extract_vectors
@@ -219,11 +230,14 @@ EPS_EXTRACT = 1e-6          # max |F F^T - G| accepted by extract_vectors
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap for the splitting solver.
+    """Iterate cap for the splitting solver.
 
-    The returned Unit+Pair matrix is feasible and PSD to rounding error
-    whatever the iterate (solve ends on a step toward the identity).  The step
-    parameters and the safety-check tolerances are the module constants.
+    max_iterations bounds the iterates of solve, which set its check schedule;
+    an iterate evaluates the fixed-point map once, or twice when its Anderson
+    point is rejected.  The returned Unit+Pair matrix is feasible and PSD to
+    rounding error whatever the iterate (solve ends on a step toward the
+    identity).  The step, acceleration and safety-check constants are the
+    module constants.
     """
 
     max_iterations: int = 200_000
@@ -267,23 +281,26 @@ def constraint_residual(model: SdpModel, M: np.ndarray) -> float:
 
 
 SQRT3 = math.sqrt(3.0)      # norm of the axis sum (1, 1, 1)
+SQRT2 = math.sqrt(2.0)
 
 
 def reduce_blocks(M: np.ndarray) -> np.ndarray:
-    """Block form X = diag(T, S) of a symmetric d x d matrix M, d = 1 + 3P.
+    """Block form X of a symmetric d x d matrix M, d = 1 + 3P: the stacked pair
+    X[0] = T and X[1] = S, both of size 1 + P, S's row and column 0 zero.
 
     In the basis Q = blockdiag(1, I_P (x) [e, f1, f2]), e = (1, 1, 1)/sqrt(3)
     and f1, f2 completing it, T is the block of Q^T M Q on Unit and the axis
-    sums e, and S the mean of its two blocks on the axis differences f1, f2.
-    For the 3 x 3 axis block B_kl between pairs k and l:
+    sums e, and S the mean of its two blocks on the axis differences f1, f2,
+    padded to T's rows: pair k is row k + 1 of both.  For the 3 x 3 axis
+    block B_kl between pairs k and l:
     T_00 = M_00, T_0k = sqrt(3) mean_a M[0, (k, a)], T_kl = (sum of B_kl)/3
     and S_kl = (tr B_kl - T_kl)/2.  lift_blocks(reduce_blocks(M)) is the mean
     of M over the six permutations of the axes.
     """
     P = (len(M) - 1) // 3
     B = M[1:, 1:].reshape(P, 3, P, 3)
-    X = np.zeros((1 + 2 * P, 1 + 2 * P))
-    T, S = X[:P + 1, :P + 1], X[P + 1:, P + 1:]
+    X = np.zeros((2, P + 1, P + 1))
+    T, S = X[0], X[1, 1:, 1:]
     T[0, 0] = M[0, 0]
     T[0, 1:] = SQRT3 * M[0, 1:].reshape(P, 3).mean(1)
     T[1:, 0] = SQRT3 * M[1:, 0].reshape(P, 3).mean(1)
@@ -293,14 +310,14 @@ def reduce_blocks(M: np.ndarray) -> np.ndarray:
 
 
 def lift_blocks(X: np.ndarray) -> np.ndarray:
-    """The d x d matrix Q diag(T, S, S) Q^T of the block form X = diag(T, S).
+    """The d x d matrix Q diag(T, S, S) Q^T of the block form X = (T, S).
 
     M_00 = T_00, M[0, (k, a)] = T_0k/sqrt(3), and the axis block between pairs
     k and l is S_kl I + ((T_kl - S_kl)/3) J; its spectrum is that of T, and
     that of S twice.
     """
-    P = (len(X) - 1) // 2
-    T, S = X[:P + 1, :P + 1], X[P + 1:, P + 1:]
+    P = X.shape[1] - 1
+    T, S = X[0], X[1, 1:, 1:]
     M = np.empty((1 + 3 * P, 1 + 3 * P))
     M[0, 0] = T[0, 0]
     M[0, 1:] = np.repeat(T[0, 1:] / SQRT3, 3)
@@ -333,107 +350,210 @@ def block_projector(index: GramIndex):
     pair_id = np.zeros((n, n), dtype=int)
     pair_id[p, q] = pair_id[q, p] = np.arange(P)
     link_m, v = np.nonzero((np.arange(n) != p[:, None]) & (np.arange(n) != q[:, None]))
-    k, l = pair_id[p[link_m], v], pair_id[v, q[link_m]]
-    m, t = np.arange(P), np.arange(1, P + 1)    # pair m is row t of T and row t + P of S
-    Tk, Tl, Sk, Sl = k + 1, l + 1, k + P + 1, l + P + 1
+    m, t = np.arange(P), np.arange(1, P + 1)    # pair m is row t = m + 1 of T and of S
+    k, l = pair_id[p[link_m], v] + 1, pair_id[v, q[link_m]] + 1   # the rows of the links
 
     def flat(table):
-        """Columns of (row, col, m, *values) entries, each broadcast along its
-        m; (row, col) becomes an index into the raveled block form."""
-        cols = [np.concatenate([np.broadcast_to(entry[i], entry[2].shape) for entry in table])
+        """Columns of (block, row, col, m, *values) entries, each broadcast
+        along its m; (block, row, col) becomes an index into the raveled
+        block form, block 0 for T and 1 for S."""
+        cols = [np.concatenate([np.broadcast_to(entry[i], entry[3].shape) for entry in table])
                 for i in range(len(table[0]))]
-        return (cols[0] * (1 + 2 * P) + cols[1], *cols[2:])
+        return ((cols[0] * (P + 1) + cols[1]) * (P + 1) + cols[2], *cols[3:])
 
-    # (row, col, m, weight): g_m is the sum of weight * X[row, col] over m's members, over n
+    # (block, row, col, m, weight): g_m is the sum of weight * X[block, row, col]
+    # over m's members, over n
     member_at, member_m, member_w = flat([
-        (0, t, m, 1.0 / SQRT3), (t, t, m, -1.0 / 3.0), (t + P, t + P, m, 1.0 / 3.0),
-        (Tk, Tl, link_m, 1.0 / 3.0), (Sk, Sl, link_m, 2.0 / 3.0)])
-    # (row, col, m, base, slope): the projection writes X[row, col] = base + slope * g_m
+        (0, 0, t, m, 1.0 / SQRT3), (0, t, t, m, -1.0 / 3.0), (1, t, t, m, 1.0 / 3.0),
+        (0, k, l, link_m, 1.0 / 3.0), (1, k, l, link_m, 2.0 / 3.0)])
+    # (block, row, col, m, base, slope): the projection writes
+    # X[block, row, col] = base + slope * g_m
     out_at, out_m, out_base, out_slope = flat([
-        (0, t, m, 0.0, SQRT3), (t, 0, m, 0.0, SQRT3), (t, t, m, 1.0, -2.0),
-        (t + P, t + P, m, 1.0, 1.0), (Tk, Tl, link_m, 0.0, 1.0), (Tl, Tk, link_m, 0.0, 1.0),
-        (Sk, Sl, link_m, 0.0, 1.0), (Sl, Sk, link_m, 0.0, 1.0)])
+        (0, 0, t, m, 0.0, SQRT3), (0, t, 0, m, 0.0, SQRT3), (0, t, t, m, 1.0, -2.0),
+        (1, t, t, m, 1.0, 1.0), (0, k, l, link_m, 0.0, 1.0), (0, l, k, link_m, 0.0, 1.0),
+        (1, k, l, link_m, 0.0, 1.0), (1, l, k, link_m, 0.0, 1.0)])
 
     def project(Y: np.ndarray) -> np.ndarray:
-        X = (Y + Y.T) / 2.0
+        X = (Y + Y.transpose(0, 2, 1)) / 2.0
         x = X.reshape(-1)                       # a view: writes land in X
         g = np.bincount(member_m, member_w * x[member_at], P) / n
         x[out_at] = out_base + out_slope * g[out_m]
-        X[0, 0] = 1.0
+        X[0, 0, 0] = 1.0
         return X
 
     return project
 
 
+class AndersonMemory:
+    """Type-II Anderson acceleration (Walker & Ni 2011) of a fixed-point iteration
+    W <- g(W) with residual f = g(W) - W.
+
+    push(f, g) makes (f, g) the current iterate's and keeps the differences
+    (Delta f, Delta g) to the previous one: the last AA_MEMORY of them, in a
+    ring, with the Gram matrix of the Delta f, one row computed per push.  A
+    Delta f at the rounding level of g (a step along which the residual does
+    not change) is no secant, and restarts the memory instead.  point() is the
+    Anderson point g - Delta G gamma, gamma the least-squares fit of f by
+    Delta F under the Tikhonov weight AA_REGULARIZATION times the trace of the
+    Gram matrix.
+    """
+
+    def __init__(self, f: np.ndarray, g: np.ndarray):
+        self.f, self.g = f, g
+        self.dF = np.empty((AA_MEMORY, len(f)))
+        self.dG = np.empty((AA_MEMORY, len(f)))
+        self.gram = np.empty((AA_MEMORY, AA_MEMORY))
+        self.eye = np.eye(AA_MEMORY)
+        self.size = 0               # rows in use: 0 .. size - 1
+        self.slot = 0               # the row the next push writes
+
+    def clear(self) -> None:
+        """Drop the differences; the current (f, g) stays."""
+        self.size = self.slot = 0
+
+    def push(self, f: np.ndarray, g: np.ndarray) -> None:
+        k = self.slot
+        df = np.subtract(f, self.f, out=self.dF[k])
+        size = max(self.size, k + 1)
+        row = self.dF[:size] @ df
+        dg = self.dG[k]
+        np.subtract(g, self.g, out=dg)
+        self.f, self.g = f, g
+        if row[k] <= AA_NOISE ** 2 * (g @ g):
+            self.clear()
+            return
+        self.gram[k, :size] = self.gram[:size, k] = row
+        self.size, self.slot = size, (k + 1) % AA_MEMORY
+
+    def point(self) -> np.ndarray:
+        k = self.size
+        H = self.gram[:k, :k]
+        gamma = np.linalg.solve(H + AA_REGULARIZATION * H.trace() * self.eye[:k, :k],
+                                self.dF[:k] @ self.f)
+        return self.g - gamma @ self.dG[:k]
+
+
 def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     """Maximize <C, M> over the affine constraint set intersected with the PSD cone.
 
-    Operator splitting with over-relaxation and scaled dual updates, run on
-    the block form X = diag(T, S) of M = Q diag(T, S, S) Q^T (reduce_blocks),
-    of size 1 + 2P against d = 1 + 3P.  The start I, the objective C and both
+    Operator splitting with over-relaxation alpha and scaled dual updates,
+    written as the fixed-point map of its pre-projection state W: with
+    Z = P+(W), U = W - Z and X = project_affine(Z - U + C/rho),
+    g(W) = alpha X + (1 - alpha) Z + U = W + alpha (X - Z).  It runs on the
+    block form (T, S) of M = Q diag(T, S, S) Q^T (reduce_blocks), of sizes
+    1 + P and P against d = 1 + 3P.  The start I, the objective C and both
     projections are invariant under the axis permutations, so every d x d
     iterate is, and the loop takes the exact image of each d x d step: the
     affine projection is block_projector, and the PSD projection, in M's
-    geometry ||T||^2 + 2 ||S||^2, is one eigh of T and one of S.  The stop rule
-    reads the max-norm of M from the blocks.  The last PSD iterate is
-    projected onto the affine set and shifted toward the identity just enough
-    to be PSD, which keeps every equality: (1 - t) X + t I, still on the
-    blocks, whose least eigenvalue is that of T and S.  The lift is linear and
-    maps I to I, so M is its lift, and constraint_residual and the eigenvalues
-    of M check it against build_model.  Deterministic for a fixed config.
+    geometry ||T||^2 + 2 ||S||^2, is one batched eigh of T and S.
+
+    Each iterate tries the Anderson point g(W) - Delta G gamma of an
+    AndersonMemory over vectors [T, sqrt(2) S], whose Euclidean norm is M's,
+    and keeps it only if ||g(W_aa) - W_aa|| <= ||g(W) - W||; otherwise the
+    memory is cleared and the iterate is the plain step g(W).  Every
+    CHECK_EVERY-th iterate is the plain step, and its residuals
+    max |X - Z+| and rho max |Z+ - Z|, Z+ = P+(g(W)), with the max-norm of M
+    read from the blocks, are the stop rule.  Residuals.iterations counts
+    iterates and cfg.max_iterations caps them; an iterate evaluates g once,
+    or twice when its Anderson point is rejected.
+
+    The last PSD iterate is projected onto the affine set and shifted toward
+    the identity just enough to be PSD, which keeps every equality:
+    (1 - t) X + t I, still on the blocks, whose least eigenvalue is that of T
+    and S (not of S's padding).  The lift is linear and maps I to I, so M is
+    its lift, and constraint_residual and the eigenvalues of M check it
+    against build_model.  Deterministic for a fixed config.
     """
     cfg = cfg or SolverConfig()
     P = len(model.index.pairs)
-    blocks = (slice(0, P + 1), slice(P + 1, None))
     project_affine = block_projector(model.index)
-    C = reduce_blocks(model.objective)
+    C_rho = reduce_blocks(model.objective) / RHO
+    identity = reduce_blocks(np.eye(model.index.size))
+    scale = np.array([1.0, SQRT2])[:, None, None]
 
     def project_psd(Y: np.ndarray) -> np.ndarray:
-        Z = np.zeros_like(Y)
-        for b in blocks:
-            w, Q = np.linalg.eigh(Y[b, b])
-            np.clip(w, 0.0, None, out=w)
-            Z[b, b] = (Q * w) @ Q.T
-        return (Z + Z.T) / 2.0
+        try:
+            w, Q = np.linalg.eigh(Y)
+        except np.linalg.LinAlgError:
+            # LAPACK's divide and conquer can fail to converge on a spectrum as
+            # degenerate as a star's (T of star:d=11 had one eigenvalue 44
+            # times); the upper triangle of the same matrix takes another path.
+            w, Q = np.linalg.eigh(Y, UPLO="U")
+        Z = (Q * np.maximum(w, 0.0)[:, None, :]) @ Q.transpose(0, 2, 1)
+        Z = (Z + Z.transpose(0, 2, 1)) / 2.0
+        Z[1, 0] = Z[1, :, 0] = 0.0              # S's padding
+        return Z
+
+    def step(W: np.ndarray, Z: np.ndarray):
+        """(X, g(W)) for Z = P+(W): with U = W - Z, X = project_affine(Z - U + C/rho)
+        and g(W) = alpha X + (1 - alpha) Z + U = W + alpha (X - Z)."""
+        X = project_affine(2.0 * Z - W + C_rho)
+        return X, W + OVER_RELAXATION * (X - Z)
+
+    def vec(D: np.ndarray) -> np.ndarray:
+        """[T, sqrt(2) S] of a block form D, raveled: its norm is ||lift_blocks(D)||."""
+        return (D * scale).reshape(-1)
+
+    def unvec(v: np.ndarray) -> np.ndarray:
+        return v.reshape(2, P + 1, P + 1) / scale
 
     def max_entry(D: np.ndarray) -> float:
         """max |lift_blocks(D)|: over M_00, M[0, (k, a)] and the diagonal and
         off-diagonal entries of each axis block."""
-        T, S = D[:P + 1, :P + 1], D[P + 1:, P + 1:]
+        T, S = D[0], D[1, 1:, 1:]
         return float(max(abs(T[0, 0]), np.abs(T[0, 1:]).max(initial=0.0) / SQRT3,
                          np.abs(T[1:, 1:] + 2.0 * S).max(initial=0.0) / 3.0,
                          np.abs(T[1:, 1:] - S).max(initial=0.0) / 3.0))
 
-    Z = np.eye(1 + 2 * P)
-    U = np.zeros_like(Z)
-    alpha = OVER_RELAXATION
+    # The iterate's Z = P+(W), X and G = g(W); the memory holds its g and f.
+    W = identity
+    Z = project_psd(W)
+    X, G = step(W, Z)
+    g = vec(G)
+    memory = AndersonMemory(g - vec(W), g)
+    f2 = memory.f @ memory.f
     converged = False
     iterations = 0
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        X = project_affine(Z - U + C / RHO)
-        Xhat = alpha * X + (1.0 - alpha) * Z
-        W = Xhat + U
-        Z_new = project_psd(W)
-        U = W - Z_new
-        if it % CHECK_EVERY == 0:
-            r = max_entry(X - Z_new)
-            s = RHO * max_entry(Z_new - Z)
-            if r <= STOP_TOL and s <= STOP_TOL:
-                Z = Z_new
-                converged = True
-                break
-        Z = Z_new
+        check = it % CHECK_EVERY == 0
+        if memory.size and not check:
+            w_aa = memory.point()
+            W_aa = unvec(w_aa)
+            Z_aa = project_psd(W_aa)
+            X_aa, G_aa = step(W_aa, Z_aa)
+            g_aa = vec(G_aa)
+            f_aa = g_aa - w_aa
+            f2_aa = f_aa @ f_aa
+            if f2_aa <= f2:                 # the safeguard: the residual may not grow
+                memory.push(f_aa, g_aa)
+                Z, X, G, f2 = Z_aa, X_aa, G_aa, f2_aa
+                continue
+            memory.clear()
+        # The plain step W <- g(W); on every CHECK_EVERY-th iterate its
+        # residuals are the stop rule.
+        Z_next = project_psd(G)
+        if check and (max_entry(X - Z_next) <= STOP_TOL
+                      and RHO * max_entry(Z_next - Z) <= STOP_TOL):
+            Z = Z_next
+            converged = True
+            break
+        X, G = step(G, Z_next)
+        Z = Z_next
+        g = vec(G)
+        f = g - memory.g
+        memory.push(f, g)
+        f2 = f @ f
 
     # One step to a feasible point.  The identity meets every constraint, so
     # the segment from X to I stays on the affine set; t is the least step
     # along it that lifts the least eigenvalue w of X, over T and S, to 0.
     X = project_affine(Z)
-    w = min(float(np.linalg.eigvalsh(X[b, b]).min(initial=np.inf))   # S is empty at n = 1
-            for b in blocks)
+    w = min(float(np.linalg.eigvalsh(B).min(initial=np.inf))        # S is empty at n = 1
+            for B in (X[0], X[1, 1:, 1:]))
     t = -w / (1.0 - w) if w < 0.0 else 0.0
-    M = lift_blocks((1.0 - t) * X + t * np.eye(len(X)))
+    M = lift_blocks((1.0 - t) * X + t * identity)
 
     res = Residuals(
         max_constraint=constraint_residual(model, M),

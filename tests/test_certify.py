@@ -145,9 +145,10 @@ def test_brackets_contain_grid_golden_minima():
 
 
 def _accurate_ratio(x: float, alpha0: float, agw: float) -> float:
-    # ratio_objective with u = -expm1(-2 alpha0 x), within a few ulp relative;
-    # ratio_objective's 1 - e^(-2 alpha0 x) is off by up to 2^-53 absolute, which
-    # is more than _REL_SLACK of u once 2 alpha0 x is under about 1e-4.
+    # ratio_objective in scalar libm arithmetic, within a few ulp relative: u is
+    # -expm1(-2 alpha0 x), as in _cut_edge_bound, since 1 - e^(-2 alpha0 x) is off
+    # by up to 2^-53 absolute, more than _REL_SLACK of u once 2 alpha0 x is under
+    # about 1e-4.
     s = math.sqrt(-math.expm1(-2.0 * (alpha0 * x)))
     A = math.exp(-alpha0 * (1.0 - x))
     return (agw / 6.0) * (1.0 + 2.0 * s * A + A * A) * (2.0 + x) / (1.0 + x)

@@ -28,7 +28,7 @@ from qmcut import (
 from qmcut.graph import parse_generator_spec
 from qmcut.oracle import simulate
 from qmcut.rounding import Circuit, Gate, sample_assignment
-from qmcut.sdp import (EPS_EXTRACT, GramSolution, Residuals, block_projector,
+from qmcut.sdp import (EPS_EXTRACT, AndersonMemory, GramSolution, Residuals, block_projector,
                        constraint_residual, lift_blocks, model_to_json, reduce_blocks)
 
 
@@ -203,6 +203,27 @@ def test_solve_objective_linear_in_weight(solved):
     assert sol.objective == pytest.approx(2.5 * solved("K2").gram.objective, abs=1e-4)
 
 
+def test_solve_survives_eigh_nonconvergence(monkeypatch):
+    # LAPACK's eigh can fail to converge on a very degenerate spectrum (an
+    # iterate of star:d=11 did); the PSD projection then reads the upper
+    # triangle of the same matrix
+    model = build_model(generate("cycle", {"n": 5}))
+    want = solve(model)
+    eigh, failed = np.linalg.eigh, []
+
+    def flaky(a, UPLO="L"):
+        if UPLO == "L" and len(failed) < 3:
+            failed.append(a.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    got = solve(model)
+    assert len(failed) == 3
+    assert got.residuals.converged
+    assert abs(got.objective - want.objective) <= 1e-10
+
+
 def test_solve_nonconvergence_raises_with_residuals():
     cfg = SolverConfig(max_iterations=10)
     with pytest.raises(SolverError) as err:
@@ -265,11 +286,11 @@ def test_affine_projection_is_least_squares(spec):
 
 
 def random_block_form(rng: np.random.Generator, P: int) -> np.ndarray:
-    """diag(T, S) with random symmetric T of size 1 + P and S of size P."""
-    X = np.zeros((1 + 2 * P, 1 + 2 * P))
-    for b in (slice(0, P + 1), slice(P + 1, None)):
-        Y = rng.standard_normal(X[b, b].shape)
-        X[b, b] = Y + Y.T
+    """(T, S) with random symmetric T of size 1 + P and S of size P."""
+    X = np.zeros((2, P + 1, P + 1))
+    for B in (X[0], X[1, 1:, 1:]):
+        Y = rng.standard_normal(B.shape)
+        B[:] = Y + Y.T
     return X
 
 
@@ -289,7 +310,7 @@ def test_lift_inverts_reduce_on_axis_invariant_matrices(n):
 def test_lift_spectrum_is_t_and_twice_s(n):
     P = n * (n - 1) // 2
     X = random_block_form(np.random.default_rng(10 + n), P)
-    T, S = X[:P + 1, :P + 1], X[P + 1:, P + 1:]
+    T, S = X[0], X[1, 1:, 1:]
     want = np.sort(np.concatenate([np.linalg.eigvalsh(T), np.linalg.eigvalsh(S),
                                    np.linalg.eigvalsh(S)]))
     assert np.abs(np.linalg.eigvalsh(lift_blocks(X)) - want).max() <= 1e-12
@@ -307,7 +328,8 @@ def test_block_projection_is_image_of_affine_projection(spec):
 
 
 @pytest.mark.parametrize("spec", ["path:n=1", "complete:n=2", "path:n=3", "complete:n=3",
-                                  "star:d=3", "cycle:n=5", "erdos_renyi:n=6,p=0.5,seed=2"])
+                                  "star:d=3", "cycle:n=5", "erdos_renyi:n=6,p=0.5,seed=2",
+                                  "complete:n=4,wmin=0.2,wmax=2.0,seed=9"])
 def test_solve_tracks_the_dense_reference(spec):
     # the block iterates are the image of the d x d ones, so the stop fires at
     # the same check and the answers agree to rounding
@@ -317,6 +339,69 @@ def test_solve_tracks_the_dense_reference(spec):
     assert got.residuals.converged == want.residuals.converged
     assert abs(got.objective - want.objective) <= 1e-10
     assert np.abs(got.M - want.M).max() <= 1e-8
+
+
+@pytest.mark.parametrize("spec", ["complete:n=4,wmin=0.1,wmax=2,seed=2",
+                                  "erdos_renyi:n=6,p=0.5,seed=5"])
+def test_solve_agrees_with_the_dense_reference_where_rounding_is_amplified(spec):
+    # The Anderson fit can amplify the rounding by which the block and d x d
+    # iterates differ, where the residual changes little per step; on these
+    # graphs the two runs stop up to 2e-7 apart in objective and 1e-5 in M,
+    # and on the first at different checks.  Both are still solves of the same
+    # relaxation, to the recorded-value tolerance of
+    # test_objective_matches_recorded_value.
+    model = build_model(parse_generator_spec(spec))
+    got, want = solve(model), reference_solve(model)
+    assert got.residuals.converged and want.residuals.converged
+    assert abs(got.objective - want.objective) <= 1e-6
+
+
+@pytest.mark.parametrize("steps", [4, 15])
+def test_anderson_point_of_an_affine_map_is_its_fixed_point(steps):
+    # with four independent secants of g(x) = A x + b in R^4, the fit cancels
+    # the residual, so the Anderson point is (I - A)^-1 b; 15 steps wrap the
+    # ring of AA_MEMORY = 10
+    rng = np.random.default_rng(3)
+    A = 0.5 * np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    b = rng.standard_normal(4)
+    x = np.zeros(4)
+    memory = AndersonMemory(A @ x + b - x, A @ x + b)
+    for _ in range(steps):
+        x = memory.g
+        memory.push(A @ x + b - x, A @ x + b)
+    assert memory.size == min(steps, 10)
+    assert np.abs(memory.point() - np.linalg.solve(np.eye(4) - A, b)).max() <= 1e-9
+
+
+def test_anderson_memory_restarts_on_a_rounding_level_difference():
+    # a step along which the residual does not change carries no secant
+    g = np.array([1.0, 2.0])
+    memory = AndersonMemory(np.array([0.5, 0.5]), g)
+    memory.push(np.array([0.25, 0.5]), g + 1.0)
+    assert memory.size == 1
+    memory.push(np.array([0.25, 0.5 + 1e-16]), g + 2.0)
+    assert memory.size == 0
+
+
+# Iterates of solve on the bench instances, measured with the accelerated
+# splitting solver and raised by about 20%: a ceiling, so that a later change
+# to the solver cannot silently give back the gain (the plain splitting loop
+# took 300, 225, 150, 425, 575, 10 325, 25 150 and 975).
+ITERATION_CEILINGS = {
+    "K2": 30,
+    "P3": 30,
+    "K3": 30,
+    "K13": 90,
+    "C5": 120,
+    "ER8a": 10_400,
+    "ER8b": 10_800,
+    "ER8c": 510,
+}
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_iterations_stay_under_ceiling(name, solved):
+    assert solved(name).gram.residuals.iterations <= ITERATION_CEILINGS[name]
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
