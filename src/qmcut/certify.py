@@ -5,13 +5,10 @@ minima of quotients of monotone factors, bounded below on a cell from its
 endpoints alone (Moore, Kearfott & Cloud 2009).  One branch and bound brackets
 both: the best evaluated point is the value, and the least cell bound left, a
 certified lower bound.  Instance audits check the inequalities the guarantee
-rests on: monogamy slack, positive-overlap sums and the cut probability
-arccos(G_ij)/pi are closed forms; the per-edge ratio is a Monte-Carlo estimate
-over the rows of one seeded stream (rounding.sample_cuts).  An edge's value
-depends on a sample only through its cut bit, so the audit counts cut samples
-per edge and forms each edge's cut and uncut values once: closed forms,
-checked once on the statevector within the simulator limit, and above it the
-certified bound edge_energy_bound of a cut edge and 0 of an uncut one.
+rests on, each in closed form on the solution: monogamy slack, positive-overlap
+sums, the cut probability arccos(G_ij)/pi and the per-edge guarantee
+P_e b_e / share, which the audit tests against the certified lower constant of
+the run's alpha0.  No audit draws a sample.
 """
 
 from __future__ import annotations
@@ -23,19 +20,11 @@ from functools import lru_cache
 import numpy as np
 
 from .energy import edge_closed_forms, edge_energy_bound
-from .graph import Graph, InputError
+from .graph import Graph
 from .oracle import DEFAULT_QUBIT_LIMIT, edge_energies, simulate
 from .rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit, check_alpha0,
-                       compute_gammas, sample_assignment, sample_cuts)
+                       compute_gammas, sample_assignment)
 from .sdp import EPS_EXTRACT, VectorSolution
-
-# Threshold the per-edge Monte-Carlo ratios are audited against: the floor to
-# three digits of ratio_constant(ALPHA0_DEFAULT) = 0.5625401, so the audit
-# tests against a threshold that lies below the proven constant.
-RATIO_TARGET = 0.562
-
-# Default Monte-Carlo sample count of the per-edge ratio audit.
-RATIO_SAMPLES = 20_000
 
 # Branch and bound stops once best value minus certified lower bound is under
 # this.  The alpha_gw bracket then holds at most 24 100 cells (56 300 at 1e-9), and
@@ -208,6 +197,11 @@ def monogamy_audit(vs: VectorSolution, g: Graph) -> Audit:
     return Audit(name="monogamy", passed=worst >= -tol, margin=worst, rows=tuple(rows))
 
 
+def _cut_probability(vs: VectorSolution, i: int, j: int) -> float:
+    """Probability arccos(G_ij)/pi that one hyperplane cut on G separates i and j."""
+    return math.acos(min(max(float(vs.G[i, j]), -1.0), 1.0)) / math.pi
+
+
 def cut_probability_audit(vs: VectorSolution, g: Graph) -> Audit:
     """Exact cut probability per edge against (alpha_gw/3)(2 + gamma).
 
@@ -220,7 +214,7 @@ def cut_probability_audit(vs: VectorSolution, g: Graph) -> Audit:
     agw = _alpha_gw_bracket()[0]
     rows = []
     for (i, j), gamma in compute_gammas(vs, g).items():
-        probability = math.acos(min(max(float(vs.G[i, j]), -1.0), 1.0)) / math.pi
+        probability = _cut_probability(vs, i, j)
         bound = (agw / 3.0) * (2.0 + gamma)
         rows.append({"edge": f"{i}-{j}", "probability": probability, "bound": bound,
                      "margin": probability - bound})
@@ -228,30 +222,43 @@ def cut_probability_audit(vs: VectorSolution, g: Graph) -> Audit:
     return Audit(name="cut_probability", passed=worst >= -tol, margin=worst, rows=tuple(rows))
 
 
-def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMPLES,
-                         alpha0: float = ALPHA0_DEFAULT, seed: int = 0,
-                         sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Audit:
-    """Monte-Carlo per-edge ratio E[<4 H_ij>] / (v0 - v_ij).v0 against the target.
+def per_edge_ratio_audit(vs: VectorSolution, g: Graph, alpha0: float = ALPHA0_DEFAULT,
+                         seed: int = 0, sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Audit:
+    """Per-edge guarantee P_e b_e / share against the certified lower constant of alpha0.
 
-    The samples are the rows of sample_cuts(vs, seed, samples).  An edge takes
-    one value c in every sample that cuts it and one value u in the others:
-    the exact closed forms (edge_closed_forms) within the simulator limit, the
-    certified bound edge_energy_bound and u = 0 above it.  Of N >= 2 samples,
-    count cut the edge; its mean is (u (N - count) + c count) / N and its
-    variance (c - u)^2 count (N - count) / (N (N - 1)), from integer counts so
-    that nothing cancels on edges that almost every sample cuts.  Within the
-    limit the statevector checks the closed forms on the first sample,
-    replayed by sample_assignment(vs, seed), and a gap above 1e-12 raises
-    AssertionError; once suffices, since c and u do not depend on the sample.
-    Edges with a vanishing share are skipped.
+    Each edge e = ij (in g.edges order) gets, from the solution alone:
+      share = 1 - v_ij . v0 = 2 (1 + gamma), its SDP energy <4 h_e>;
+      probability P_e = arccos(G_ij)/pi, the chance that the cut separates i and j;
+      bound b_e = 1 + s(A + B) + AB, edge_energy_bound of a cut edge;
+      guaranteed = P_e b_e / share, the edge's link of the paper's chain;
+      expected = (P_e c_e + (1 - P_e) u_e) / share, its exact expected energy over
+        the SDP's, from the cut and uncut values (c_e, u_e) of edge_closed_forms.
+    u_e = 1 - plus * rest >= 0, as no factor exceeds 1, and c_e >= b_e, as b_e keeps
+    only the empty-subset term AB of c_e's even-subset sum, whose terms are all
+    nonnegative; so guaranteed <= expected, up to rounding.  The
+    audit passes when every guaranteed is at least the certified lower constant
+    of alpha0 (minimizer_consistency_audit's ratio_constant lower), less
+    10 EPS_EXTRACT; the margin is guaranteed minus that constant.
+
+    Why it holds: with gamma+ = max(gamma, 0), P_e >= alpha_gw (2 + gamma)/3
+    (cut_probability_audit), s = sqrt(1 - e^(-2 alpha0 gamma+)) (theta_map), and
+    A, B >= e^(-alpha0 (1 - gamma+)), since cos 2 theta_ik = e^(-alpha0 gamma_ik+) and
+    the positive overlaps at each end sum to at most 1 (positive_overlap_audit).
+    So guaranteed >= (alpha_gw / 6)(1 + 2 s e^(-alpha0 (1 - gamma+))
+    + e^(-2 alpha0 (1 - gamma+)))(2 + gamma)/(1 + gamma), which is
+    ratio_objective(gamma) for gamma >= 0 and at least ratio_objective(0) for
+    gamma < 0 (ratio_constant), both at the true alpha_gw.  That is at least the
+    ratio's minimum over [0, 1], which its certified lower bound bounds from
+    below.  Both audits hold up to extraction noise, and so does this one.
+
+    Edges with share <= 1e-6 are listed as skipped.  Within the simulator limit
+    the statevector checks the closed forms once, on sample_assignment(vs,
+    seed), and a gap above 1e-12 raises AssertionError; the rows depend on
+    neither seed nor sim_limit.
     """
-    if samples < 2:
-        raise InputError("need at least two samples: one has no sample variance")
     params = EdgeParameters.from_solution(vs, g, alpha0)
-    Z = sample_cuts(vs, seed, samples)
-    exact_mode = g.n <= sim_limit
-    if exact_mode:
-        cut, uncut = edge_closed_forms(params, g)
+    cut, uncut = edge_closed_forms(params, g)
+    if g.n <= sim_limit:
         first = sample_assignment(vs, seed)
         simulated = edge_energies(simulate(build_circuit(first, params, g), limit=sim_limit), g)
         for (i, j, _), c, u, value in zip(g.edges, cut, uncut, simulated):
@@ -259,29 +266,24 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, samples: int = RATIO_SAMP
             if not abs(value - closed) <= 1e-12 * max(1.0, abs(value)):
                 raise AssertionError(f"first sample, edge {i}-{j}: statevector energy {value} "
                                      f"and closed form {closed} differ by more than 1e-12")
-    else:
-        only = [Assignment(z=tuple(int(k == i) for k in range(g.n))) for i in range(g.n)]
-        cut = np.array([edge_energy_bound(params, only[i], g, (i, j)) for i, j, _ in g.edges])
-        uncut = np.zeros_like(cut)
+    lower = _ratio_bracket(alpha0)[0]
     rows = []
-    worst = math.inf
     for (i, j, _), c, u in zip(g.edges, cut.tolist(), uncut.tolist()):
-        count = int(np.count_nonzero(Z[:, i] != Z[:, j]))
         share = 1.0 - vs.pair_sum_dot_unit(i, j)
         if share <= 1e-6:
             rows.append({"edge": f"{i}-{j}", "share": share, "skipped": True})
             continue
-        mean = (u * (samples - count) + c * count) / samples
-        # (c - u)^2 p (1 - p) N / (N - 1) with p = count / N, the integer part exact
-        variance = (c - u) * (c - u) * (count * (samples - count) / (samples * (samples - 1)))
-        sigma = math.sqrt(variance / samples) / share
-        ratio = mean / share
-        margin = ratio - (RATIO_TARGET - 5.0 * sigma)
-        worst = min(worst, margin)
-        rows.append({"edge": f"{i}-{j}", "share": share, "ratio": ratio, "sigma": sigma,
-                     "margin": margin, "skipped": False, "exact": exact_mode})
-    worst = 0.0 if worst is math.inf else worst
-    return Audit(name="per_edge_ratio", passed=worst >= 0.0, margin=worst, rows=tuple(rows))
+        probability = _cut_probability(vs, i, j)
+        only_i = Assignment(z=tuple(int(k == i) for k in range(g.n)))
+        bound = edge_energy_bound(params, only_i, g, (i, j))
+        guaranteed = probability * bound / share
+        rows.append({"edge": f"{i}-{j}", "share": share, "probability": probability,
+                     "bound": bound, "guaranteed": guaranteed,
+                     "expected": (probability * c + (1.0 - probability) * u) / share,
+                     "margin": guaranteed - lower, "skipped": False})
+    worst = min((r["margin"] for r in rows if not r["skipped"]), default=0.0)
+    return Audit(name="per_edge_ratio", passed=worst >= -10.0 * EPS_EXTRACT, margin=worst,
+                 rows=tuple(rows))
 
 
 def positive_overlap_audit(vs: VectorSolution, g: Graph) -> Audit:
@@ -344,8 +346,8 @@ class Certificate:
 
 
 def build_certificate(vs: VectorSolution | None = None, g: Graph | None = None,
-                      alpha0: float = ALPHA0_DEFAULT, ratio_samples: int = RATIO_SAMPLES,
-                      seed: int = 0, sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Certificate:
+                      alpha0: float = ALPHA0_DEFAULT, seed: int = 0,
+                      sim_limit: int = DEFAULT_QUBIT_LIMIT) -> Certificate:
     """Constants plus, when a solved instance is supplied, the full audit set."""
     agw, agw_t = alpha_gw()
     ratio, ratio_gamma = ratio_constant(alpha0)
@@ -355,7 +357,6 @@ def build_certificate(vs: VectorSolution | None = None, g: Graph | None = None,
             raise ValueError("a graph is required to audit a vector solution")
         audits += (monogamy_audit(vs, g), positive_overlap_audit(vs, g),
                    cut_probability_audit(vs, g),
-                   per_edge_ratio_audit(vs, g, samples=ratio_samples, alpha0=alpha0, seed=seed,
-                                        sim_limit=sim_limit))
+                   per_edge_ratio_audit(vs, g, alpha0=alpha0, seed=seed, sim_limit=sim_limit))
     return Certificate(alpha_gw=agw, alpha_gw_argmin_t=agw_t, ratio_constant=ratio,
                        ratio_argmin_gamma=ratio_gamma, alpha0_used=alpha0, audits=audits)

@@ -254,7 +254,7 @@ def _load_graph(args) -> tuple[str, Graph]:
 
 def _at_least(name: str, least: int):
     """An integer flag's type, rejecting values below least before any solve;
-    _solved_vectors checks the upper end of --samples and --index per graph."""
+    _solved_vectors checks the upper end of --index per graph."""
     def integer(text: str) -> int:
         value = int(text)
         if value < least:
@@ -347,10 +347,9 @@ def cmd_exact(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.input or args.generate:
-        _, g, _, _, vs = _solved_vectors(args, args.samples)
-        cert = certify_mod.build_certificate(vs, g, alpha0=args.alpha0,
-                                             ratio_samples=args.samples,
-                                             seed=args.seed, sim_limit=args.sim_limit)
+        _, g, _, _, vs = _solved_vectors(args)
+        cert = certify_mod.build_certificate(vs, g, alpha0=args.alpha0, seed=args.seed,
+                                             sim_limit=args.sim_limit)
     else:
         cert = certify_mod.build_certificate(alpha0=args.alpha0)
     payload = asdict(cert)
@@ -397,9 +396,6 @@ _FLAGS: dict[str, dict] = {
     "--index": {"type": _at_least("index", 0), "default": 0,
                 "help": "the sample to replay: row of the --seed stream"},
     "--alpha0": {"type": _alpha0, "default": ALPHA0_DEFAULT},
-    # The ratio audit's sample variance needs two samples.
-    "--samples": {"type": _at_least("samples", 2), "default": certify_mod.RATIO_SAMPLES,
-                  "help": "samples of the per-edge ratio audit"},
     "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
     "--max-iterations": {"type": int, "default": SolverConfig.max_iterations},
     "--deterministic": {"action": "store_true",
@@ -425,7 +421,7 @@ _SUBCOMMANDS = {
     "exact": (cmd_exact, "exact largest eigenvalue by sector diagonalization",
               (*_INSTANCE, "--sim-limit", "--out")),
     "certify": (cmd_certify, "constants and instance audits",
-                (*_INSTANCE, "--seed", "--alpha0", "--samples", "--sim-limit", *_SOLVER,
+                (*_INSTANCE, "--seed", "--alpha0", "--sim-limit", *_SOLVER,
                  "--out", "--sweep")),
     "bench": (cmd_bench, "run a suite of instances and emit CSV or JSON rows",
               ("--suite", "--rounds", "--seed", "--alpha0", "--sim-limit", *_SOLVER,

@@ -6,13 +6,12 @@ paths (plain Kronecker products) so they can serve as oracles for them.
 
 from __future__ import annotations
 
-import math
 from itertools import permutations
 
 import numpy as np
 
 from qmcut import Graph
-from qmcut.certify import RATIO_TARGET, minimizer_consistency_audit
+from qmcut.certify import minimizer_consistency_audit
 from qmcut.energy import _cut_edge_terms, edge_energy_bound, total_energy
 from qmcut.oracle import _apply_pauli, edge_energies, expectation, simulate
 from qmcut.rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit,
@@ -20,6 +19,10 @@ from qmcut.rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_ci
 from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
                        AndersonMemory, GramIndex, GramSolution, Residuals, SdpModel, SolverConfig,
                        SolverError, VectorSolution, constraint_residual)
+
+# The paper's three-digit ratio constant: the floor to three digits of
+# ratio_constant(ALPHA0_DEFAULT) = 0.5625401, which lies below the proven constant.
+RATIO_TARGET = 0.562
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -278,36 +281,25 @@ def reference_oracle_energies(g: Graph, params: EdgeParameters, Z: np.ndarray) -
 
 def reference_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: float,
                          seed: int, exact: bool) -> list[dict]:
-    """per_edge_ratio_audit's rows from the per-sample loop it replaces: every
-    edge's value in every sample, summed in order.  The values are the
-    simulated state's edge energies when exact, else edge_energy_bound.  The
-    variance is sum(x^2)/N - mean^2, which cancels on edges that are almost
-    always cut."""
+    """Monte-Carlo reference for per_edge_ratio_audit's rows: each edge's value
+    in every row of sample_cuts(vs, seed, samples), averaged, with its standard
+    error, both over the edge's share.  The values are the simulated state's
+    edge energies when exact, whose mean estimates `expected`, else
+    edge_energy_bound, 0 on uncut edges, whose mean estimates `guaranteed`.
+    The spread is the two-pass sum of (x - mean)^2, which does not cancel."""
     params = EdgeParameters.from_solution(vs, g, alpha0)
     edges = [(i, j) for i, j, _ in g.edges]
-    sums = dict.fromkeys(edges, 0.0)
-    sq_sums = dict.fromkeys(edges, 0.0)
-    for assign in assignments(sample_cuts(vs, seed, samples)):
-        if exact:
-            vals = edge_energies(simulate(build_circuit(assign, params, g), limit=g.n), g)
-        else:
-            vals = [edge_energy_bound(params, assign, g, e) for e in edges]
-        for e, val in zip(edges, vals):
-            sums[e] += val
-            sq_sums[e] += val * val
+    values = np.array([
+        edge_energies(simulate(build_circuit(assign, params, g), limit=g.n), g) if exact
+        else [edge_energy_bound(params, assign, g, e) for e in edges]
+        for assign in assignments(sample_cuts(vs, seed, samples))])
+    mean = values.mean(axis=0)
+    sigma = np.sqrt(((values - mean) ** 2).sum(axis=0) / (samples - 1) / samples)
     rows = []
-    for i, j in edges:
+    for (i, j), m, s in zip(edges, mean.tolist(), sigma.tolist()):
         share = 1.0 - vs.pair_sum_dot_unit(i, j)
-        if share <= 1e-6:
-            rows.append({"edge": f"{i}-{j}", "share": share, "skipped": True})
-            continue
-        mean = sums[(i, j)] / samples
-        var = max(sq_sums[(i, j)] / samples - mean * mean, 0.0) * samples / (samples - 1)
-        sigma = math.sqrt(var / samples) / share
-        ratio = mean / share
-        rows.append({"edge": f"{i}-{j}", "share": share, "ratio": ratio, "sigma": sigma,
-                     "margin": ratio - (RATIO_TARGET - 5.0 * sigma), "skipped": False,
-                     "exact": exact})
+        rows.append({"edge": f"{i}-{j}", "share": share, "mean": m / share,
+                     "sigma": s / share})
     return rows
 
 

@@ -2,7 +2,6 @@ import json
 import math
 import warnings
 from dataclasses import asdict
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -11,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assignments, certified_lower, random_unit_rows, reference_ratio_rows,
+from conftest import BENCH_NAMES
+from helpers import (RATIO_TARGET, certified_lower, random_unit_rows, reference_ratio_rows,
                      synthetic_solution)
 from qmcut import (
     Graph,
@@ -29,7 +29,6 @@ from qmcut import (
 from qmcut.certify import (
     _BRACKET_TOL,
     _MAX_OPEN,
-    RATIO_TARGET,
     _bracket_min,
     _cut_cell_lower,
     _ratio_cell_lower,
@@ -40,7 +39,7 @@ from qmcut.certify import (
 )
 from qmcut.energy import edge_energy_bound
 from qmcut.oracle import edge_energies, simulate
-from qmcut.rounding import ALPHA0_DEFAULT, EdgeParameters, build_circuit, sample_cuts
+from qmcut.rounding import ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit
 
 
 def test_alpha_gw_value_and_argmin():
@@ -287,90 +286,122 @@ def test_cut_probability_audit_on_random_rows(seed, n, antipodal):
 def test_per_edge_ratio_k2(solved):
     inst = solved("K2")
     g = inst.graph
-    # gamma = 1: always cut, fixed angle, so the ratio is deterministic
+    # gamma = 1: always cut at a fixed angle, so guaranteed = expected = that energy / 4
     theta = math.acos(math.exp(-0.041)) / 2.0
     want = (2.0 + 2.0 * math.sin(2 * theta)) / 4.0
-    for sim_limit in (g.n, g.n - 1):     # statevector, then bound
-        audit = per_edge_ratio_audit(inst.vectors, g, samples=500, seed=7, sim_limit=sim_limit)
-        row = audit.rows[0]
-        assert not row["skipped"]
-        assert row["exact"] is (sim_limit == g.n)
-        assert row["ratio"] == pytest.approx(want, abs=1e-4)
-        # all 500 samples cut the edge, so they all have the same value
-        assert row["sigma"] == 0.0
-        assert audit.passed
+    rows = {sim_limit: per_edge_ratio_audit(inst.vectors, g, seed=7, sim_limit=sim_limit)
+            for sim_limit in (g.n, g.n - 1)}     # statevector check, then none
+    assert rows[g.n] == rows[g.n - 1]
+    audit = rows[g.n]
+    row = audit.rows[0]
+    assert not row["skipped"]
+    assert row["guaranteed"] == pytest.approx(want, abs=1e-4)
+    assert row["expected"] == pytest.approx(want, abs=1e-4)
+    assert audit.passed
 
 
-def test_sampled_audits_reject_zero_samples(solved):
-    # one sample has no sample variance, so its sigma would read 0
-    inst = solved("K2")
-    for samples in (0, 1):
-        with pytest.raises(ValueError, match="at least two samples"):
-            per_edge_ratio_audit(inst.vectors, inst.graph, samples=samples)
+# c_e >= b_e holds to rounding only: where the two are equal in exact arithmetic
+# they are formed in different orders and can differ by an ulp, so with P_e = 1
+# guaranteed can exceed expected by that much (1 ulp in an @example below).
+ULP4 = 1.0 + 4.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("alpha0", [0.0, ALPHA0_DEFAULT, 0.2])
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_per_edge_ratio_passes_against_its_own_constant(name, alpha0, solved):
+    # The pass rule is the certified lower constant of the run's alpha0, not 0.562,
+    # which is the constant of alpha0 = 0.041 alone (0.439 at alpha0 = 0).
+    # The rows read neither the seed nor the simulator limit, and the cut
+    # probability is the cut_probability audit's, to the bit.
+    g, vs = solved(name).graph, solved(name).vectors
+    audit = per_edge_ratio_audit(vs, g, alpha0=alpha0, seed=0, sim_limit=g.n)
+    assert per_edge_ratio_audit(vs, g, alpha0=alpha0, seed=5, sim_limit=g.n - 1) == audit
+    lower = certified_lower("ratio_constant", alpha0)
+    assert audit.passed
+    rows = [r for r in audit.rows if not r["skipped"]]
+    assert rows and audit.margin == min(r["guaranteed"] - lower for r in rows)
+    probability = {r["edge"]: r["probability"] for r in cut_probability_audit(vs, g).rows}
+    for row in rows:
+        assert row["probability"] == probability[row["edge"]]
+        assert row["guaranteed"] == row["probability"] * row["bound"] / row["share"]
+        assert row["guaranteed"] <= row["expected"] * ULP4
 
 
 def test_per_edge_ratio_star(solved):
     inst = solved("K13")
-    audit = per_edge_ratio_audit(inst.vectors, inst.graph, samples=4000, seed=9)
+    audit = per_edge_ratio_audit(inst.vectors, inst.graph)
     assert audit.passed
     for row in audit.rows:
-        assert row["ratio"] >= 0.562 - 5 * row["sigma"]
+        assert row["guaranteed"] >= RATIO_TARGET
 
 
-# The bound cases keep the bare instance name as their id.
+def test_per_edge_ratio_rows_are_exact_when_every_cut_is_known():
+    # v0 = e1, v1 = e2 and v2 = v3 = -(e1 + e2)/sqrt(2) span a plane and no half
+    # of it, so a hyperplane leaves exactly one of v0, v1, v2 alone, z2 = z3,
+    # and the three separation probabilities 1/2, 3/4, 3/4 fix each case: v0
+    # alone 1/4, v1 alone 1/4, v2 alone 1/2, halved between the two sign
+    # patterns.  Edge 0-1 has two common neighbours over four edges with gamma
+    # > 0, so its c_e exceeds b_e; the rows must be these weighted averages.
+    w = -1.0 / math.sqrt(2.0)
+    vs = synthetic_solution(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [w, w, 0, 0],
+                                      [w, w, 0, 0]]))
+    g = Graph.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
+    alpha0 = 0.2
+    params = EdgeParameters.from_solution(vs, g, alpha0)
+    cuts = {(1, 0, 0, 0): 1 / 8, (0, 1, 1, 1): 1 / 8, (0, 1, 0, 0): 1 / 8,
+            (1, 0, 1, 1): 1 / 8, (0, 0, 1, 1): 1 / 4, (1, 1, 0, 0): 1 / 4}
+    energy = sum(weight * np.array(edge_energies(simulate(
+        build_circuit(Assignment(z=z), params, g), limit=4), g)) for z, weight in cuts.items())
+    bound = sum(weight * np.array([edge_energy_bound(params, Assignment(z=z), g, (i, j))
+                                   for i, j, _ in g.edges])
+                for z, weight in cuts.items())
+    audit = per_edge_ratio_audit(vs, g, alpha0=alpha0)
+    for row, e, b in zip(audit.rows, energy.tolist(), bound.tolist()):
+        assert row["expected"] == pytest.approx(e / row["share"], abs=1e-12)
+        assert row["guaranteed"] == pytest.approx(b / row["share"], abs=1e-12)
+    assert audit.rows[0]["expected"] - audit.rows[0]["guaranteed"] > 1e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(0.0, 0.5), st.booleans())
+@example(seed=3549, n=5, alpha0=0.041, antipodal=True)
+def test_guaranteed_never_exceeds_expected(seed, n, alpha0, antipodal):
+    # u_e >= 0 and c_e >= b_e, so P b / share <= (P c + (1 - P) u) / share.  Random
+    # rows can put G_ij above 1/3, where gamma < -1 is clamped (theta = 0 either way).
+    rng = np.random.default_rng(seed)
+    rows = random_unit_rows(rng, n)
+    if antipodal:
+        rows[1] = -rows[0]
+    pairs = list(combinations(range(n), 2))
+    keep = [e for e, k in zip(pairs, rng.random(len(pairs))) if k < 0.6] or pairs[:1]
+    g = Graph.from_edges(n, [(i, j, 1.0) for i, j in keep])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        audit = per_edge_ratio_audit(synthetic_solution(rows), g, alpha0=alpha0)
+    assert len(audit.rows) == len(keep)
+    for row in audit.rows:
+        assert row["skipped"] or 0.0 <= row["guaranteed"] <= row["expected"] * ULP4, row
+
+
+# Sampled reference: the bound cases keep the bare instance name as their id.
 @pytest.mark.parametrize("name, exact", [
     pytest.param(name, exact, id=f"{name}-statevector" if exact else name)
     for exact in (False, True) for name in ("C5", "K13", "ER8a", "ER8c")])
 def test_bound_ratio_audit_matches_the_per_sample_loop(name, exact, solved):
-    # The audit adds c * count where the loop added c once per cut sample, and
-    # in statevector mode the loop's simulated values differ from the closed
-    # forms by a few ulps.  The loop's sums of N terms differ by at most about
-    # N * 2^-53 of the ratio, 2.2e-13 here, and sigma and margin are in the
-    # ratio's units.  sigma is compared on the ratio's scale, not its own: the
-    # loop's sum(x^2)/N - mean^2 cancels on edges that are almost always cut.
+    # Over 2 000 cuts, the mean of each edge's simulated energy estimates
+    # `expected` and the mean of its edge_energy_bound (0 when uncut) estimates
+    # `guaranteed`, each over the share, within 5 sigma; the 1e-12 allows for
+    # rounding where an edge's samples show no spread.
     inst = solved(name)
     g, samples = inst.graph, 2000
-    audit = per_edge_ratio_audit(inst.vectors, g, samples=samples, seed=5,
-                                 sim_limit=g.n if exact else g.n - 1)
+    audit = per_edge_ratio_audit(inst.vectors, g)
     ref = reference_ratio_rows(inst.vectors, g, samples, ALPHA0_DEFAULT, 5, exact)
     assert len(audit.rows) == len(ref)
+    key = "expected" if exact else "guaranteed"
     for got, want in zip(audit.rows, ref):
-        assert (got["edge"], got["share"], got["skipped"]) == \
-            (want["edge"], want["share"], want["skipped"])
-        if not want["skipped"]:
-            assert got["exact"] is exact
-            for key in ("ratio", "sigma", "margin"):
-                assert abs(got[key] - want[key]) <= 1e-12 * want["ratio"], key
-    assert audit.passed == (min(r["margin"] for r in ref if not r["skipped"]) >= 0.0)
-
-
-@pytest.mark.parametrize("exact", [False, True], ids=["bound", "statevector"])
-def test_bound_ratio_sigma_matches_exact_arithmetic(exact, solved):
-    # ER8a's most-cut edge is cut in 1 969 of 2 000 samples.  There the
-    # per-sample form sum(x^2)/N - mean^2 cancels: it is off by 2.2e-12 of
-    # sigma in both modes.  The variance from integer counts is off by a few
-    # ulps.  The reference takes each sample's own value: edge_energy_bound,
-    # or the simulated state's.
-    inst = solved("ER8a")
-    g, vs, samples = inst.graph, inst.vectors, 2000
-    audit = per_edge_ratio_audit(vs, g, samples=samples, seed=5,
-                                 sim_limit=g.n if exact else g.n - 1)
-    params = EdgeParameters.from_solution(vs, g)
-    assigns = assignments(sample_cuts(vs, 5, samples))
-    counts = [sum(a.z[i] != a.z[j] for a in assigns) for i, j, _ in g.edges]
-    k = int(np.argmax(counts))
-    i, j, _ = g.edges[k]
-    if exact:
-        xs = [Fraction(edge_energies(simulate(build_circuit(a, params, g), limit=g.n), g)[k])
-              for a in assigns]
-    else:
-        xs = [Fraction(edge_energy_bound(params, a, g, (i, j))) for a in assigns]
-    mean = sum(xs) / samples
-    var = sum((x - mean) ** 2 for x in xs) / (samples - 1)
-    want = math.sqrt(var / samples) / (1.0 - vs.pair_sum_dot_unit(i, j))
-    row = audit.rows[k]
-    assert row["edge"] == f"{i}-{j}" and not row["skipped"]
-    assert abs(row["sigma"] - want) <= 2e-15 * want
+        assert (got["edge"], got["share"]) == (want["edge"], want["share"])
+        assert not got["skipped"]
+        assert abs(got[key] - want["mean"]) <= 5.0 * want["sigma"] + 1e-12, (got, want)
 
 
 def test_ratio_audit_disagreeing_with_the_statevector_raises(monkeypatch, solved):
@@ -379,7 +410,7 @@ def test_ratio_audit_disagreeing_with_the_statevector_raises(monkeypatch, solved
     monkeypatch.setattr("qmcut.certify.edge_energies",
                         lambda psi, g: [value + 1e-9 for value in edge_energies(psi, g)])
     with pytest.raises(AssertionError, match="statevector energy"):
-        per_edge_ratio_audit(inst.vectors, inst.graph, samples=10)
+        per_edge_ratio_audit(inst.vectors, inst.graph)
 
 
 def test_positive_overlap_audit(solved):
@@ -414,7 +445,7 @@ def test_certificate_constants_only():
 
 def test_certificate_with_instance(solved):
     inst = solved("K13")
-    cert = build_certificate(inst.vectors, inst.graph, ratio_samples=2000, seed=11)
+    cert = build_certificate(inst.vectors, inst.graph, seed=11)
     assert cert.all_passed()
     names = {a.name for a in cert.audits}
     assert {"monogamy", "cut_probability", "per_edge_ratio",

@@ -264,13 +264,21 @@ def test_certify_constants_only(capsys):
 
 def test_certify_instance(tmp_path, capsys):
     out = tmp_path / "cert.json"
-    code = run(["certify", "--generate", "star:d=3", "--samples", "4000",
-                "--out", str(out)])
+    code = run(["certify", "--generate", "star:d=3", "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     names = {a["name"] for a in payload["audits"]}
     assert "monogamy" in names and "cut_probability" in names
     assert all(a["passed"] for a in payload["audits"])
+
+
+def test_certify_passes_at_alpha0_zero(capsys):
+    # The per-edge audit tests each alpha0 against its own certified constant
+    # (0.439284 at alpha0 = 0), not against 0.562, the constant of alpha0 = 0.041.
+    assert run(["certify", "--generate", "complete:n=2", "--alpha0", "0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "ratio constant(0.0) = 0.439284" in out
+    assert "audit per_edge_ratio: PASS" in out
 
 
 def test_bench_empty_suite(capsys):
@@ -390,10 +398,9 @@ def test_json_weight_too_large_for_float_is_input_error(tmp_path, capsys):
 def test_unallocatable_request_is_input_error(capsys):
     # 10**17 rounds of complete:n=2 ask for a 2e17-byte bit matrix, which no host
     # can grant, so the allocation fails at once instead of being attempted.  At
-    # n = 10, 10**18 rounds or samples need 1e19 bytes, more than numpy can size.
+    # n = 10, 10**18 rounds need 1e19 bytes, more than numpy can size.
     for argv in (["pipeline", "--generate", "complete:n=2", "--rounds", str(10**17)],
-                 ["pipeline", "--generate", "complete:n=10", "--rounds", str(10**18)],
-                 ["certify", "--generate", "complete:n=10", "--samples", str(10**18)]):
+                 ["pipeline", "--generate", "complete:n=10", "--rounds", str(10**18)]):
         assert run(argv) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
@@ -419,17 +426,13 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["round", "--generate", ER8C, "--alpha0", "-1"],
     ["energy", "--generate", ER8C, "--alpha0", "inf"],
     ["certify", "--generate", ER8C, "--alpha0", "nan"],
-    ["certify", "--generate", ER8C, "--samples", "0"],
-    ["certify", "--generate", ER8C, "--samples", "1"],
     ["pipeline", "--generate", "complete:n=2", "--rounds", str(2**60)],
-    ["certify", "--generate", "complete:n=2", "--samples", str(10**20)],
     ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
     ["pipeline", "--generate", "complete:n=3,n=4"],
     ["exact", "--generate", "complete:n=3,seed=1,seed=2"],
 ], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "pipeline-rounds-1",
         "bench-rounds-1", "round-index-negative", "energy-index-1e18", "bench-alpha0", "round-alpha0",
-        "energy-alpha0", "certify-alpha0", "certify-samples", "certify-samples-1",
-        "pipeline-rounds-2to60", "certify-samples-1e20", "solve-tol-feas",
+        "energy-alpha0", "certify-alpha0", "pipeline-rounds-2to60", "solve-tol-feas",
         "pipeline-repeated-key", "exact-repeated-seed"])
 def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
     def no_solve(model, cfg=None):
@@ -443,7 +446,7 @@ def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command, extra", [("round", []), ("energy", []),
                                             ("pipeline", ["--rounds", "5"]),
-                                            ("certify", ["--samples", "100"])],
+                                            ("certify", [])],
                          ids=["round", "energy", "pipeline", "certify"])
 def test_invalid_alpha0_is_input_error(command, extra, value, spec, tmp_path, capsys):
     # path:n=1 has no edge, so no rotation angle is computed from alpha0
@@ -486,7 +489,7 @@ PARSER_TABLE = {
     "exact": ({"--input": "g.txt", "--generate": "path:n=3", "--sim-limit": "4",
                "--out": "o.json"}, ["--rounds", "5"]),
     "certify": ({"--input": "g.txt", "--generate": "path:n=3", "--seed": "1",
-                 "--alpha0": "0.05", "--samples": "100", "--sim-limit": "4",
+                 "--alpha0": "0.05", "--sim-limit": "4",
                  "--max-iterations": "10", "--out": "o.json", "--sweep": None},
                 ["--deterministic"]),
     "bench": ({"--suite": "path:n=3", "--rounds": "5", "--seed": "1", "--alpha0": "0.05",
