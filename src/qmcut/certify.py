@@ -22,7 +22,7 @@ import numpy as np
 from .energy import edge_closed_forms, edge_energy_bound
 from .graph import Graph
 from .oracle import DEFAULT_QUBIT_LIMIT, edge_energies, simulate
-from .rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit, check_alpha0,
+from .rounding import (ALPHA0_DEFAULT, EdgeParameters, build_circuit, check_alpha0,
                        compute_gammas, sample_assignment)
 from .sdp import EPS_EXTRACT, VectorSolution
 
@@ -177,24 +177,29 @@ class Audit:
     rows: tuple[dict, ...]
 
 
+# Extraction noise every instance audit forgives: a margin passes at >= -_AUDIT_TOL.
+_AUDIT_TOL = 10.0 * EPS_EXTRACT
+
+
+def _instance_audit(name: str, rows: list[dict], key: str) -> Audit:
+    """Audit whose margin is the least rows[key] over rows not skipped, 0 with none."""
+    worst = min((r[key] for r in rows if not r.get("skipped")), default=0.0)
+    return Audit(name=name, passed=worst >= -_AUDIT_TOL, margin=worst, rows=tuple(rows))
+
+
 def monogamy_audit(vs: VectorSolution, g: Graph) -> Audit:
     """Per-vertex slack of the star bound: (d+1)/2 minus the star's share.
 
     A vertex of degree d can collect at most (d+1)/2 from its incident edges;
     on valid solutions every slack is nonnegative up to extraction noise.
     """
-    tol = 10.0 * EPS_EXTRACT
     rows = []
-    worst = math.inf
     for i in range(g.n):
         ids = g.neighbors[i]
         d = len(ids)
         star = sum(0.25 * (1.0 - vs.pair_sum_dot_unit(i, j)) for j in ids)
-        slack = (d + 1) / 2.0 - star
-        worst = min(worst, slack)
-        rows.append({"vertex": i, "degree": d, "star_value": star, "slack": slack})
-    worst = 0.0 if not rows else worst
-    return Audit(name="monogamy", passed=worst >= -tol, margin=worst, rows=tuple(rows))
+        rows.append({"vertex": i, "degree": d, "star_value": star, "slack": (d + 1) / 2.0 - star})
+    return _instance_audit("monogamy", rows, "slack")
 
 
 def _cut_probability(vs: VectorSolution, i: int, j: int) -> float:
@@ -210,7 +215,6 @@ def cut_probability_audit(vs: VectorSolution, g: Graph) -> Audit:
     arccos(t)/pi >= alpha_gw (1 - t)/2 at t = G_ij = -(1 + 2 gamma)/3, with alpha_gw
     certified from below, is the bound; every margin is >= 0 up to extraction noise.
     """
-    tol = 10.0 * EPS_EXTRACT
     agw = _alpha_gw_bracket()[0]
     rows = []
     for (i, j), gamma in compute_gammas(vs, g).items():
@@ -218,8 +222,7 @@ def cut_probability_audit(vs: VectorSolution, g: Graph) -> Audit:
         bound = (agw / 3.0) * (2.0 + gamma)
         rows.append({"edge": f"{i}-{j}", "probability": probability, "bound": bound,
                      "margin": probability - bound})
-    worst = min((r["margin"] for r in rows), default=0.0)
-    return Audit(name="cut_probability", passed=worst >= -tol, margin=worst, rows=tuple(rows))
+    return _instance_audit("cut_probability", rows, "margin")
 
 
 def per_edge_ratio_audit(vs: VectorSolution, g: Graph, alpha0: float = ALPHA0_DEFAULT,
@@ -229,16 +232,15 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, alpha0: float = ALPHA0_DE
     Each edge e = ij (in g.edges order) gets, from the solution alone:
       share = 1 - v_ij . v0 = 2 (1 + gamma), its SDP energy <4 h_e>;
       probability P_e = arccos(G_ij)/pi, the chance that the cut separates i and j;
-      bound b_e = 1 + s(A + B) + AB, edge_energy_bound of a cut edge;
+      bound b_e = 1 + s(A + B) + AB, the edge's edge_energy_bound;
       guaranteed = P_e b_e / share, the edge's link of the paper's chain;
       expected = (P_e c_e + (1 - P_e) u_e) / share, its exact expected energy over
         the SDP's, from the cut and uncut values (c_e, u_e) of edge_closed_forms.
-    u_e = 1 - plus * rest >= 0, as no factor exceeds 1, and c_e >= b_e, as b_e keeps
-    only the empty-subset term AB of c_e's even-subset sum, whose terms are all
-    nonnegative; so guaranteed <= expected, up to rounding.  The
-    audit passes when every guaranteed is at least the certified lower constant
-    of alpha0 (minimizer_consistency_audit's ratio_constant lower), less
-    10 EPS_EXTRACT; the margin is guaranteed minus that constant.
+    u_e = 1 - plus >= 0 and c_e >= b_e (edge_closed_forms), so guaranteed <=
+    expected, up to rounding.  The audit passes when every guaranteed is at
+    least the certified lower constant of alpha0 (minimizer_consistency_audit's
+    ratio_constant lower), less _AUDIT_TOL = 10 EPS_EXTRACT; the margin is
+    guaranteed minus that constant.
 
     Why it holds: with gamma+ = max(gamma, 0), P_e >= alpha_gw (2 + gamma)/3
     (cut_probability_audit), s = sqrt(1 - e^(-2 alpha0 gamma+)) (theta_map), and
@@ -268,22 +270,19 @@ def per_edge_ratio_audit(vs: VectorSolution, g: Graph, alpha0: float = ALPHA0_DE
                                      f"and closed form {closed} differ by more than 1e-12")
     lower = _ratio_bracket(alpha0)[0]
     rows = []
-    for (i, j, _), c, u in zip(g.edges, cut.tolist(), uncut.tolist()):
+    for (i, j, _), c, u, bound in zip(g.edges, cut.tolist(), uncut.tolist(),
+                                      edge_energy_bound(params, g).tolist()):
         share = 1.0 - vs.pair_sum_dot_unit(i, j)
         if share <= 1e-6:
             rows.append({"edge": f"{i}-{j}", "share": share, "skipped": True})
             continue
         probability = _cut_probability(vs, i, j)
-        only_i = Assignment(z=tuple(int(k == i) for k in range(g.n)))
-        bound = edge_energy_bound(params, only_i, g, (i, j))
         guaranteed = probability * bound / share
         rows.append({"edge": f"{i}-{j}", "share": share, "probability": probability,
                      "bound": bound, "guaranteed": guaranteed,
                      "expected": (probability * c + (1.0 - probability) * u) / share,
                      "margin": guaranteed - lower, "skipped": False})
-    worst = min((r["margin"] for r in rows if not r["skipped"]), default=0.0)
-    return Audit(name="per_edge_ratio", passed=worst >= -10.0 * EPS_EXTRACT, margin=worst,
-                 rows=tuple(rows))
+    return _instance_audit("per_edge_ratio", rows, "margin")
 
 
 def positive_overlap_audit(vs: VectorSolution, g: Graph) -> Audit:
@@ -294,21 +293,14 @@ def positive_overlap_audit(vs: VectorSolution, g: Graph) -> Audit:
     every slack is nonnegative up to extraction noise.
     """
     gammas = compute_gammas(vs, g)
-    tol = 10.0 * EPS_EXTRACT
     totals = dict.fromkeys(range(g.n), 0.0)
     for (i, j), gm in gammas.items():
         if gm > 0.0:
             totals[i] += gm
             totals[j] += gm
-    rows = []
-    worst = math.inf
-    for i in range(g.n):
-        slack = 1.0 - totals[i]
-        worst = min(worst, slack)
-        rows.append({"vertex": i, "positive_overlap_sum": totals[i], "slack": slack})
-    worst = 0.0 if not rows else worst
-    return Audit(name="positive_overlap_sum", passed=worst >= -tol, margin=worst,
-                 rows=tuple(rows))
+    rows = [{"vertex": i, "positive_overlap_sum": totals[i], "slack": 1.0 - totals[i]}
+            for i in range(g.n)]
+    return _instance_audit("positive_overlap_sum", rows, "slack")
 
 
 def minimizer_consistency_audit(alpha0: float = ALPHA0_DEFAULT) -> Audit:

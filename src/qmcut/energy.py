@@ -1,18 +1,18 @@
 """Closed-form energies of the rounded circuit state, per edge and in total.
 
-An edge's <4 H_ij> depends on z only through its cut bit (edge_closed_forms),
-and both of its values are closed forms in the rotation angles of the edges
-incident to i and j, formed in _cut_edge_terms: 1 + s(A + B) + (even-subset
-sum) when cut, with s = sin(2 theta_ij) and A, B the cosine products over the
-other neighbours of i and of j, and 1 - plus * rest when uncut.  Keeping only
-the empty subset, AB, gives the lower bound 1 + s(A + B) + AB on a cut edge
-that the 0.562 guarantee rests on (edge_energy_bound).  Energies are carried
-as <4 H_ij> and divided by 4 only when weighted totals are formed.
+An edge's <4 H_pq> depends on z only through its cut bit (edge_closed_forms),
+and both of its values are products over the other vertices k of the angles at
+the edge's two ends, formed for every edge at once in _edge_products from
+c = cos 2 theta and s = sin 2 theta: 1 + s_pq (A + B) + (plus + minus)/2 when
+cut, with A and B the products of c_pk and of c_kq and plus, minus those of
+c_pk c_kq +- s_pk s_kq, and 1 - plus when uncut.  Keeping only the empty-subset
+term AB of (plus + minus)/2 gives the lower bound 1 + s_pq (A + B) + AB on a
+cut edge that the 0.562 guarantee rests on (edge_energy_bound).  Energies are
+carried as <4 H_pq> and divided by 4 only when weighted totals are formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,81 +43,73 @@ class EdgeEnergyReport:
         return payload
 
 
-def _theta(params: EdgeParameters, i: int, j: int) -> float:
-    return params.theta[(i, j) if i < j else (j, i)]
+def _edge_products(params: EdgeParameters, g: Graph) -> tuple[np.ndarray, ...]:
+    """(s_pq, A, B, plus, minus) of every edge e = (p, q), p < q, in g.edges order.
 
-
-def _cut_edge_terms(params: EdgeParameters, nbrs: tuple[tuple[int, ...], ...], p: int,
-                    q: int) -> tuple[float, float, float, float, float, float]:
-    """(s_pq, A, B, even_subset_sum, plus, rest) of the edge (p, q).
-
-    With c = cos(2 theta) and s = sin(2 theta):
-      A = prod over k in N(p)\\{q} of c_pk,  B = prod over k in N(q)\\{p} of c_kq,
-      plus = prod over common k of (c_pk c_kq + s_pk s_kq),
-      minus = prod over common k of (c_pk c_kq - s_pk s_kq),
-      rest = the cosine factors of A and B over neighbours that are not common,
-      even_subset_sum = (1/2) (plus + minus) rest.
-    The cut edge reads 1 + s_pq (A + B) + even_subset_sum and the uncut edge
-    1 - plus rest.  The product form sums the even-subset expansion exactly
-    while staying finite when some cos(2 theta) vanishes, and costs O(deg) per
-    edge.  Swapping p and q swaps A and B and gives the same float for every
-    other term, and for A + B and A * B.
+    One pass of products over the n x n matrices c = cos 2 theta and s = sin 2 theta,
+    with c = 1 and s = 0 off the edges (the diagonal included).  Over the vertices
+    k other than p and q:
+      A = prod c_pk,  B = prod c_kq,
+      plus = prod (c_pk c_kq + s_pk s_kq),  minus = prod (c_pk c_kq - s_pk s_kq);
+    a vertex next to one end only contributes its cosine, one next to neither 1.
     """
-    cos_p = {k: math.cos(2.0 * _theta(params, p, k)) for k in nbrs[p] if k != q}
-    cos_q = {k: math.cos(2.0 * _theta(params, k, q)) for k in nbrs[q] if k != p}
-    s_pq = math.sin(2.0 * _theta(params, p, q))
-
-    A = math.prod(cos_p.values())
-    B = math.prod(cos_q.values())
-
-    plus, minus = 1.0, 1.0
-    for k in sorted(cos_p.keys() & cos_q.keys()):
-        sp_, sq_ = math.sin(2.0 * _theta(params, p, k)), math.sin(2.0 * _theta(params, k, q))
-        plus *= cos_p[k] * cos_q[k] + sp_ * sq_
-        minus *= cos_p[k] * cos_q[k] - sp_ * sq_
-    rest = math.prod(c for k, c in cos_p.items() if k not in cos_q)
-    rest *= math.prod(c for k, c in cos_q.items() if k not in cos_p)
-    return s_pq, A, B, 0.5 * (plus + minus) * rest, plus, rest
+    p, q = np.array([e[:2] for e in g.edges], dtype=np.intp).reshape(-1, 2).T
+    theta = np.array([params.theta[(i, j)] for i, j, _ in g.edges])
+    c, s = np.ones((g.n, g.n)), np.zeros((g.n, g.n))
+    c[p, q] = c[q, p] = np.cos(2.0 * theta)
+    s[p, q] = s[q, p] = np.sin(2.0 * theta)
+    # Row e of cp, sp runs over k at p and of cq, sq at q; the edge's own factor
+    # becomes 1 (its sine meets the zero diagonal of s at the other end).
+    rows = np.arange(len(p))
+    cp, cq, sp, sq = c[p], c[q], s[p], s[q]
+    cp[rows, q] = cq[rows, p] = 1.0
+    cc, ss = cp * cq, sp * sq
+    return s[p, q], cp.prod(axis=1), cq.prod(axis=1), (cc + ss).prod(axis=1), (cc - ss).prod(axis=1)
 
 
-def edge_energy_bound(params: EdgeParameters, assign: Assignment, g: Graph,
-                      edge: tuple[int, int]) -> float:
-    """Lower bound on <4 H_ij>: 1 + s(A + B) + AB on cut edges, 0 otherwise.
+def _edge_values(params: EdgeParameters, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cut, uncut, bound) <4 H_e> of every edge, in g.edges order:
+    1 + s_pq (A + B) + (plus + minus)/2, 1 - plus and 1 + s_pq (A + B) + AB."""
+    s_pq, A, B, plus, minus = _edge_products(params, g)
+    return (1.0 + s_pq * (A + B) + (plus + minus) / 2.0, 1.0 - plus,
+            1.0 + s_pq * (A + B) + A * B)
 
-    EdgeParameters holds only nonnegative angles; for angles in [0, pi/4] the
-    dropped even-subset terms are nonnegative, so bound <= exact.
+
+def edge_energy_bound(params: EdgeParameters, g: Graph) -> np.ndarray:
+    """Lower bound 1 + s(A + B) + AB on <4 H_e> of every edge while it is cut, in g.edges order.
+
+    It keeps the empty-subset term AB of the cut value's (plus + minus)/2
+    (edge_closed_forms), so it is at most the cut value for the nonnegative
+    angles EdgeParameters holds.
     """
-    i, j = edge
-    if assign.z[i] == assign.z[j]:
-        return 0.0
-    s_ij, A, B, _, _, _ = _cut_edge_terms(params, g.neighbors, i, j)
-    return 1.0 + s_ij * (A + B) + A * B
+    return _edge_values(params, g)[2]
 
 
 def edge_closed_forms(params: EdgeParameters, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Exact <4 H_e> of every edge while it is cut and while it is not, in g.edges order.
 
-    The cut value is 1 + s(A + B) + even_subset_sum and the uncut value
-    1 - plus * rest (_cut_edge_terms).  They are the only two values an edge
-    takes: its energy depends on z only through its cut bit.  Why:
+    The cut value is 1 + s(A + B) + (plus + minus)/2 and the uncut value
+    1 - plus (_edge_values).  They are the only two values an edge takes: its
+    energy depends on z only through its cut bit.  Why:
     V = (X + Y)/sqrt(2) maps X to Y and Y to X under conjugation and |b> to a
     phase times |1 - b>, so the state drawn with bit k flipped is V_k times the
     state drawn without the flip, up to a phase (the bit sets the letter of
     every gate at k).  V_k acts on one qubit, so it
     leaves <4 h_e> = 2 (1 - <SWAP_e>) alone when k is not on e, and V_p V_q
     commutes with SWAP_pq, so flipping both ends leaves it alone too.
-    With theta in [0, pi/4], which EdgeParameters guarantees, every factor s,
-    A, B and rest is >= 0, and |c_pk c_kq - s_pk s_kq| <= c_pk c_kq + s_pk s_kq
-    gives |minus| <= plus, so even_subset_sum >= 0.  So cut - uncut =
-    s(A + B) + even_subset_sum + plus * rest >= 0: cutting an edge never lowers
-    its energy.
+    The factors of plus and minus are cos 2(theta_pk - theta_kq) and
+    cos 2(theta_pk + theta_kq), so no factor exceeds 1 and uncut >= 0.  With
+    theta in [0, pi/4], which EdgeParameters guarantees, c and s are >= 0, so
+    s, A and B are >= 0 and each factor of plus is at least the absolute value
+    of minus's: plus >= |minus|.  So cut - uncut = s(A + B) + (plus + minus)/2
+    + plus >= 0: cutting an edge never lowers its energy.  Expanded,
+    (plus + minus)/2 is the sum over the even subsets T of the common
+    neighbours of prod over T of s_pk s_kq times the cosines c_pk c_kq off T and
+    the one-end cosines; every term is >= 0, and T empty gives AB, so
+    edge_energy_bound <= cut.
     """
-    cut, uncut = [], []
-    for i, j, _ in g.edges:
-        s_ij, A, B, even_subset_sum, plus, rest = _cut_edge_terms(params, g.neighbors, i, j)
-        cut.append(1.0 + s_ij * (A + B) + even_subset_sum)
-        uncut.append(1.0 - plus * rest)
-    return np.array(cut), np.array(uncut)
+    cut, uncut, _ = _edge_values(params, g)
+    return cut, uncut
 
 
 def cut_energies(Z: np.ndarray, g: Graph, cut: np.ndarray, uncut: np.ndarray) -> np.ndarray:
@@ -141,13 +133,13 @@ def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEn
 
     An edge's exact value is its closed form for the sample's cut bit
     (edge_closed_forms), so the exact total is the state's energy; its bound
-    is edge_energy_bound, 0 on uncut edges.
+    is edge_energy_bound on cut edges and 0 on uncut ones.
     """
     rows = []
-    for (i, j, w), c, u in zip(g.edges, *edge_closed_forms(params, g)):
+    for (i, j, w), c, u, b in zip(g.edges, *(v.tolist() for v in _edge_values(params, g))):
         cut = assign.z[i] != assign.z[j]
-        rows.append(EdgeEnergy(edge=(i, j), weight=w, cut=cut, exact=float(c if cut else u),
-                               bound=edge_energy_bound(params, assign, g, (i, j))))
+        rows.append(EdgeEnergy(edge=(i, j), weight=w, cut=cut, exact=c if cut else u,
+                               bound=b if cut else 0.0))
     return EdgeEnergyReport(edges=tuple(rows),
                             bound_total=sum((e.weight * e.bound / 4.0 for e in rows), 0.0),
                             exact_total=sum((e.weight * e.exact / 4.0 for e in rows), 0.0))

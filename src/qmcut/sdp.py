@@ -462,12 +462,18 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     (1 - t) X + t I, still on the blocks, whose least eigenvalue is that of T
     and S (not of S's padding).  The lift is linear and maps I to I, so M is
     its lift, and constraint_residual and the eigenvalues of M check it
-    against build_model.  Deterministic for a fixed config.
+    against build_model.  The loop's C is the objective over the mean edge
+    weight, so its iterates do not depend on the scale of the weights; the
+    reported objective is <C, M> with the model's own C.  Deterministic for a
+    fixed config.
     """
     cfg = cfg or SolverConfig()
     P = len(model.index.pairs)
     project_affine = block_projector(model.index)
-    C_rho = reduce_blocks(model.objective) / RHO
+    # The mean edge weight is 4 C_00 / m, as C_00 = sum w / 4 (1 when every weight
+    # is 0); unit weights give exactly 1.
+    mean_weight = 4.0 * (model.objective[0, 0] / max(model.graph.num_edges, 1)) or 1.0
+    C_rho = reduce_blocks(model.objective) / (RHO * mean_weight)
     identity = reduce_blocks(np.eye(model.index.size))
     scale = np.array([1.0, SQRT2])[:, None, None]
 

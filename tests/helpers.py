@@ -12,7 +12,7 @@ import numpy as np
 
 from qmcut import Graph
 from qmcut.certify import minimizer_consistency_audit
-from qmcut.energy import _cut_edge_terms, edge_energy_bound, total_energy
+from qmcut.energy import _edge_products, total_energy
 from qmcut.oracle import _apply_pauli, edge_energies, expectation, simulate
 from qmcut.rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit,
                             sample_cuts)
@@ -89,15 +89,17 @@ def moment_matrix_from_state(amps: np.ndarray, index: GramIndex) -> np.ndarray:
 
 def edge_pauli_terms(params: EdgeParameters, assign: Assignment, g: Graph,
                      edge: tuple[int, int]) -> tuple[float, float, float]:
-    """(<X_p X_q>, <Y_p Y_q>, <Z_p Z_q>) on a cut edge, oriented so z_p = 0.
+    """(<X_i X_j>, <Y_i Y_j>, <Z_i Z_j>) on a cut edge (i, j), i < j.
 
-    <XX> = -s_pq A, <YY> = -s_pq B and <ZZ> = -even_subset_sum, in the terms
-    of energy._cut_edge_terms.
+    With p the end where z = 0: <XX> = -s A, <YY> = -s B and
+    <ZZ> = -(plus + minus)/2, with A the cosine product at p and B at the other
+    end.  energy._edge_products forms A at i, so A and B swap when z_i = 1.
     """
-    i, j = edge
-    p, q = (i, j) if assign.z[i] == 0 else (j, i)
-    s_pq, A, B, even_subset_sum, _, _ = _cut_edge_terms(params, g.neighbors, p, q)
-    return -s_pq * A, -s_pq * B, -even_subset_sum
+    k = [e[:2] for e in g.edges].index(edge)
+    s, A, B, plus, minus = (float(v[k]) for v in _edge_products(params, g))
+    if assign.z[edge[0]] == 1:
+        A, B = B, A
+    return -s * A, -s * B, -(plus + minus) / 2.0
 
 
 def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,11 +196,13 @@ def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSol
     with the same constants.  Its Anderson fit is in the Frobenius norm of M,
     which solve takes on the blocks as ||T||^2 + 2 ||S||^2.  It ends on d x d
     too: affine_projector, the least eigenvalue of the whole matrix and the
-    step toward I, where solve takes them on the blocks and lifts once."""
+    step toward I, where solve takes them on the blocks and lifts once.  Like
+    solve, it iterates on C over the mean edge weight."""
     cfg = cfg or SolverConfig()
     d = model.index.size
     project_affine = affine_projector(model)
-    C_rho = model.objective / RHO
+    weights = [w for _, _, w in model.graph.edges]
+    C_rho = model.objective / (RHO * (np.mean(weights) if any(weights) else 1.0))
 
     def project_psd(Y: np.ndarray) -> np.ndarray:
         w, Q = np.linalg.eigh(Y)
@@ -284,14 +288,14 @@ def reference_ratio_rows(vs: VectorSolution, g: Graph, samples: int, alpha0: flo
     """Monte-Carlo reference for per_edge_ratio_audit's rows: each edge's value
     in every row of sample_cuts(vs, seed, samples), averaged, with its standard
     error, both over the edge's share.  The values are the simulated state's
-    edge energies when exact, whose mean estimates `expected`, else
-    edge_energy_bound, 0 on uncut edges, whose mean estimates `guaranteed`.
+    edge energies when exact, whose mean estimates `expected`, else the bound of
+    total_energy's rows, 0 on uncut edges, whose mean estimates `guaranteed`.
     The spread is the two-pass sum of (x - mean)^2, which does not cancel."""
     params = EdgeParameters.from_solution(vs, g, alpha0)
     edges = [(i, j) for i, j, _ in g.edges]
     values = np.array([
         edge_energies(simulate(build_circuit(assign, params, g), limit=g.n), g) if exact
-        else [edge_energy_bound(params, assign, g, e) for e in edges]
+        else [row.bound for row in total_energy(params, assign, g).edges]
         for assign in assignments(sample_cuts(vs, seed, samples))])
     mean = values.mean(axis=0)
     sigma = np.sqrt(((values - mean) ** 2).sum(axis=0) / (samples - 1) / samples)

@@ -37,7 +37,7 @@ from qmcut.certify import (
     positive_overlap_audit,
     ratio_objective,
 )
-from qmcut.energy import edge_energy_bound
+from qmcut.energy import total_energy
 from qmcut.oracle import edge_energies, simulate
 from qmcut.rounding import ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit
 
@@ -352,8 +352,8 @@ def test_per_edge_ratio_rows_are_exact_when_every_cut_is_known():
             (1, 0, 1, 1): 1 / 8, (0, 0, 1, 1): 1 / 4, (1, 1, 0, 0): 1 / 4}
     energy = sum(weight * np.array(edge_energies(simulate(
         build_circuit(Assignment(z=z), params, g), limit=4), g)) for z, weight in cuts.items())
-    bound = sum(weight * np.array([edge_energy_bound(params, Assignment(z=z), g, (i, j))
-                                   for i, j, _ in g.edges])
+    bound = sum(weight * np.array([row.bound
+                                   for row in total_energy(params, Assignment(z=z), g).edges])
                 for z, weight in cuts.items())
     audit = per_edge_ratio_audit(vs, g, alpha0=alpha0)
     for row, e, b in zip(audit.rows, energy.tolist(), bound.tolist()):
@@ -389,7 +389,7 @@ def test_guaranteed_never_exceeds_expected(seed, n, alpha0, antipodal):
     for exact in (False, True) for name in ("C5", "K13", "ER8a", "ER8c")])
 def test_bound_ratio_audit_matches_the_per_sample_loop(name, exact, solved):
     # Over 2 000 cuts, the mean of each edge's simulated energy estimates
-    # `expected` and the mean of its edge_energy_bound (0 when uncut) estimates
+    # `expected` and the mean of its total_energy bound (0 when uncut) estimates
     # `guaranteed`, each over the share, within 5 sigma; the 1e-12 allows for
     # rounding where an edge's samples show no spread.
     inst = solved(name)

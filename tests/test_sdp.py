@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from itertools import combinations, permutations
 from pathlib import Path
@@ -201,6 +202,28 @@ def test_solve_objective_linear_in_weight(solved):
     g = Graph.from_edges(2, [(0, 1, 2.5)])
     sol = solve(build_model(g))
     assert sol.objective == pytest.approx(2.5 * solved("K2").gram.objective, abs=1e-4)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 7, 2.0 ** -7])
+def test_scaled_weights_run_the_unit_weight_iterates(scale, solved):
+    # solve iterates on C over the mean edge weight, so scaling every weight by a
+    # power of 2 runs the same iterates and scales the objective alone
+    unit = solved("ER8c")
+    g = unit.graph
+    got = solve(build_model(Graph.from_edges(g.n, [(i, j, w * scale) for i, j, w in g.edges])))
+    assert got.residuals == unit.gram.residuals
+    assert np.array_equal(got.M, unit.gram.M)
+    assert got.objective == unit.gram.objective * scale
+
+
+def test_solve_converges_on_huge_weights(solved):
+    # at 1e10 per edge an unscaled C/rho dwarfs the unit-scale M, and the solve
+    # did not converge within its 200 000-iterate cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve(build_model(parse_generator_spec("complete:n=3,wmin=1e10,wmax=1e10")))
+    assert got.residuals.converged
+    assert got.objective == pytest.approx(1e10 * solved("K3").gram.objective, rel=1e-9)
 
 
 def test_solve_survives_eigh_nonconvergence(monkeypatch):
