@@ -155,11 +155,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
         best_energy = oracle
     timings["round_s"] = time.perf_counter() - t0
 
-    mean = float(np.mean(energies))
+    # The moments are formed on the energies over a power of 2 near their largest
+    # magnitude, which is exact and keeps sums and squares of energies near the
+    # float limit in range.
+    exponent = math.frexp(float(np.abs(energies).max()))[1]
+    scaled = np.ldexp(energies, -exponent)
+    mean = math.ldexp(float(np.mean(scaled)), exponent)
     report["samples"] = {
         "count": cfg.rounds,
         "mean": mean,
-        "stderr": float(np.std(energies, ddof=1) / math.sqrt(cfg.rounds)),
+        "stderr": math.ldexp(float(np.std(scaled, ddof=1)), exponent) / math.sqrt(cfg.rounds),
         "energy_kind": "oracle" if exact_mode else "bound",
     }
     report["best"] = {"index": best_idx, "z": best.z_string(), "energy": best_energy}

@@ -39,7 +39,8 @@ class Graph:
     """Undirected weighted graph on vertices 0..n-1.
 
     Invariants (checked on construction): every edge satisfies 0 <= i < j < n,
-    no duplicate pairs, weights are finite and nonnegative.  Instances are
+    no duplicate pairs, weights are finite and nonnegative, and so is their
+    sum, which the SDP objective's constant term is formed from.  Instances are
     immutable and safe for concurrent reads.
     """
 
@@ -60,6 +61,10 @@ class Graph:
             if not math.isfinite(w) or w < 0:
                 raise GraphError(f"edge ({i},{j}) has invalid weight {w}")
             seen.add((i, j))
+        try:
+            math.fsum(w for _, _, w in self.edges)
+        except OverflowError:
+            raise GraphError("total edge weight exceeds the float range") from None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

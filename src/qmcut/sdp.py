@@ -32,6 +32,10 @@ Z = P+(W) and the scaled dual U = W - Z.  solve extrapolates it by type-II
 Anderson acceleration over the last AA_MEMORY residual differences, in M's
 geometry, and keeps an extrapolated point only if its residual is no larger
 than the plain step's; the plain step is the fallback and the stop test.
+The differences are stored half-vectorized (block_vectorizer), (1 + P)^2
+entries each, and the fit's Gram matrix and right-hand side are updated by
+one row per step, so a deep memory costs little next to the eigh of an
+iterate.
 """
 
 from __future__ import annotations
@@ -220,7 +224,7 @@ RHO = 0.5                   # penalty parameter
 OVER_RELAXATION = 1.8
 STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
 CHECK_EVERY = 25
-AA_MEMORY = 10              # residual differences the Anderson step fits over
+AA_MEMORY = 32              # residual differences the Anderson step fits over
 AA_REGULARIZATION = 1e-10   # Tikhonov weight, relative to the trace of their Gram matrix
 AA_NOISE = 1e-12            # residual differences below this share of the map value are rounding
 EPS_FEAS = 1e-6             # max constraint residual accepted by solve
@@ -250,10 +254,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Residuals:
+    """Checks of a solve's answer and the work that reached it.
+
+    map_evaluations counts evaluations of the fixed-point map, one batched
+    eigh of T and S each: 1 + iterations + safeguard_rejections.
+    safeguard_rejections counts Anderson points whose residual grew,
+    memory_restarts the rounding-level differences that restarted the memory,
+    and identity_step is the step t toward I that made the answer PSD.
+    """
+
     max_constraint: float
     min_eigenvalue: float
     iterations: int
     converged: bool
+    map_evaluations: int = 0
+    safeguard_rejections: int = 0
+    memory_restarts: int = 0
+    identity_step: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -384,18 +401,51 @@ def block_projector(index: GramIndex):
     return project
 
 
+def block_vectorizer(P: int):
+    """(vec, unvec): the half-vectorization of block forms (T, S), T of size
+    1 + P and S of size P, as vectors of (1 + P)^2 entries.
+
+    vec(D) lists the upper triangle of T, then that of S without its zero
+    padding row and column; T's off-diagonal entries are weighted sqrt(2), and
+    S's entries a further sqrt(2).  So vec(D1) . vec(D2) is
+    <T1, T2> + 2 <S1, S2> = <lift_blocks(D1), lift_blocks(D2)>, the geometry
+    of M.  unvec is its inverse on symmetric block forms with S's padding zero.
+    """
+    r, c = np.triu_indices(P + 1)
+    in_s = r > 0                                # S's rows and columns are 1..P
+    weight_t = np.where(r == c, 1.0, SQRT2)
+    at = np.concatenate([r * (P + 1) + c, (P + 1) ** 2 + (r * (P + 1) + c)[in_s]])
+    mirror = np.concatenate([c * (P + 1) + r, (P + 1) ** 2 + (c * (P + 1) + r)[in_s]])
+    weight = np.concatenate([weight_t, SQRT2 * weight_t[in_s]])
+
+    def vec(D: np.ndarray) -> np.ndarray:
+        return D.reshape(-1)[at] * weight
+
+    def unvec(v: np.ndarray) -> np.ndarray:
+        D = np.zeros((2, P + 1, P + 1))
+        x = D.reshape(-1)                       # a view: writes land in D
+        x[at] = x[mirror] = v / weight
+        return D
+
+    return vec, unvec
+
+
 class AndersonMemory:
     """Type-II Anderson acceleration (Walker & Ni 2011) of a fixed-point iteration
     W <- g(W) with residual f = g(W) - W.
 
     push(f, g) makes (f, g) the current iterate's and keeps the differences
     (Delta f, Delta g) to the previous one: the last AA_MEMORY of them, in a
-    ring, with the Gram matrix of the Delta f, one row computed per push.  A
-    Delta f at the rounding level of g (a step along which the residual does
-    not change) is no secant, and restarts the memory instead.  point() is the
-    Anderson point g - Delta G gamma, gamma the least-squares fit of f by
-    Delta F under the Tikhonov weight AA_REGULARIZATION times the trace of the
-    Gram matrix.
+    ring, with the Gram matrix of the Delta f and the fit's right-hand side
+    rhs = Delta F^T f.  Both are kept up to date from the one Gram row a push
+    computes, Delta F^T (Delta f): rhs_i grows by row_i, as f grows by the new
+    Delta f, and the new difference's entry is Delta f . f; so a push reads
+    Delta F once and point() reads only Delta G.  A Delta f at the rounding
+    level of g (a step along which the residual does not change) is no
+    secant, and restarts the memory instead; restarts counts them.  point()
+    is the Anderson point g - Delta G gamma, gamma the least-squares fit of f
+    by Delta F under the Tikhonov weight AA_REGULARIZATION times the trace of
+    the Gram matrix.
     """
 
     def __init__(self, f: np.ndarray, g: np.ndarray):
@@ -403,9 +453,11 @@ class AndersonMemory:
         self.dF = np.empty((AA_MEMORY, len(f)))
         self.dG = np.empty((AA_MEMORY, len(f)))
         self.gram = np.empty((AA_MEMORY, AA_MEMORY))
+        self.rhs = np.zeros(AA_MEMORY)
         self.eye = np.eye(AA_MEMORY)
         self.size = 0               # rows in use: 0 .. size - 1
         self.slot = 0               # the row the next push writes
+        self.restarts = 0
 
     def clear(self) -> None:
         """Drop the differences; the current (f, g) stays."""
@@ -416,20 +468,22 @@ class AndersonMemory:
         df = np.subtract(f, self.f, out=self.dF[k])
         size = max(self.size, k + 1)
         row = self.dF[:size] @ df
-        dg = self.dG[k]
-        np.subtract(g, self.g, out=dg)
+        np.subtract(g, self.g, out=self.dG[k])
         self.f, self.g = f, g
         if row[k] <= AA_NOISE ** 2 * (g @ g):
+            self.restarts += 1
             self.clear()
             return
         self.gram[k, :size] = self.gram[:size, k] = row
+        self.rhs[:size] += row
+        self.rhs[k] = df @ f
         self.size, self.slot = size, (k + 1) % AA_MEMORY
 
     def point(self) -> np.ndarray:
         k = self.size
         H = self.gram[:k, :k]
         gamma = np.linalg.solve(H + AA_REGULARIZATION * H.trace() * self.eye[:k, :k],
-                                self.dF[:k] @ self.f)
+                                self.rhs[:k])
         return self.g - gamma @ self.dG[:k]
 
 
@@ -448,24 +502,25 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     geometry ||T||^2 + 2 ||S||^2, is one batched eigh of T and S.
 
     Each iterate tries the Anderson point g(W) - Delta G gamma of an
-    AndersonMemory over vectors [T, sqrt(2) S], whose Euclidean norm is M's,
-    and keeps it only if ||g(W_aa) - W_aa|| <= ||g(W) - W||; otherwise the
-    memory is cleared and the iterate is the plain step g(W).  Every
-    CHECK_EVERY-th iterate is the plain step, and its residuals
-    max |X - Z+| and rho max |Z+ - Z|, Z+ = P+(g(W)), with the max-norm of M
-    read from the blocks, are the stop rule.  Residuals.iterations counts
-    iterates and cfg.max_iterations caps them; an iterate evaluates g once,
-    or twice when its Anderson point is rejected.
+    AndersonMemory over the half-vectorized block forms of block_vectorizer,
+    whose dot product is M's, and keeps it only if
+    ||g(W_aa) - W_aa|| <= ||g(W) - W||; otherwise the memory is cleared and
+    the iterate is the plain step g(W).  Every CHECK_EVERY-th iterate is the
+    plain step, and its residuals max |X - Z+| and rho max |Z+ - Z|,
+    Z+ = P+(g(W)), with the max-norm of M read from the blocks, are the stop
+    rule.  Residuals.iterations counts iterates and cfg.max_iterations caps
+    them; an iterate evaluates g once, or twice when its Anderson point is
+    rejected, and Residuals.map_evaluations counts the evaluations.
 
     The last PSD iterate is projected onto the affine set and shifted toward
     the identity just enough to be PSD, which keeps every equality:
     (1 - t) X + t I, still on the blocks, whose least eigenvalue is that of T
-    and S (not of S's padding).  The lift is linear and maps I to I, so M is
-    its lift, and constraint_residual and the eigenvalues of M check it
-    against build_model.  The loop's C is the objective over the mean edge
-    weight, so its iterates do not depend on the scale of the weights; the
-    reported objective is <C, M> with the model's own C.  Deterministic for a
-    fixed config.
+    and S (not of S's padding); t is Residuals.identity_step.  The lift is
+    linear and maps I to I, so M is its lift, and constraint_residual and the
+    eigenvalues of M check it against build_model.  The loop's C is the
+    objective over the mean edge weight, so its iterates do not depend on the
+    scale of the weights; the reported objective is <C, M> with the model's
+    own C.  Deterministic for a fixed config.
     """
     cfg = cfg or SolverConfig()
     P = len(model.index.pairs)
@@ -475,9 +530,12 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     mean_weight = 4.0 * (model.objective[0, 0] / max(model.graph.num_edges, 1)) or 1.0
     C_rho = reduce_blocks(model.objective) / (RHO * mean_weight)
     identity = reduce_blocks(np.eye(model.index.size))
-    scale = np.array([1.0, SQRT2])[:, None, None]
+    vec, unvec = block_vectorizer(P)
+    evaluations = 0
 
     def project_psd(Y: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
         try:
             w, Q = np.linalg.eigh(Y)
         except np.linalg.LinAlgError:
@@ -496,13 +554,6 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
         X = project_affine(2.0 * Z - W + C_rho)
         return X, W + OVER_RELAXATION * (X - Z)
 
-    def vec(D: np.ndarray) -> np.ndarray:
-        """[T, sqrt(2) S] of a block form D, raveled: its norm is ||lift_blocks(D)||."""
-        return (D * scale).reshape(-1)
-
-    def unvec(v: np.ndarray) -> np.ndarray:
-        return v.reshape(2, P + 1, P + 1) / scale
-
     def max_entry(D: np.ndarray) -> float:
         """max |lift_blocks(D)|: over M_00, M[0, (k, a)] and the diagonal and
         off-diagonal entries of each axis block."""
@@ -519,7 +570,7 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     memory = AndersonMemory(g - vec(W), g)
     f2 = memory.f @ memory.f
     converged = False
-    iterations = 0
+    iterations = rejections = 0
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
@@ -536,6 +587,7 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
                 memory.push(f_aa, g_aa)
                 Z, X, G, f2 = Z_aa, X_aa, G_aa, f2_aa
                 continue
+            rejections += 1
             memory.clear()
         # The plain step W <- g(W); on every CHECK_EVERY-th iterate its
         # residuals are the stop rule.
@@ -566,6 +618,10 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
         min_eigenvalue=float(np.linalg.eigvalsh(M)[0]),
         iterations=iterations,
         converged=converged,
+        map_evaluations=evaluations,
+        safeguard_rejections=rejections,
+        memory_restarts=memory.restarts,
+        identity_step=t,
     )
     if not converged:
         raise SolverError("splitting solver did not converge within max_iterations", res)

@@ -255,6 +255,35 @@ def test_solver_failure_exit_code(tmp_path):
     assert report["sdp"]["residuals"]["converged"] is False
 
 
+def test_solver_failure_reports_the_solvers_work(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["pipeline", "--generate", "cycle:n=5", "--max-iterations", "10",
+                "--out", str(out)]) == EXIT_SOLVER
+    residuals = json.loads(out.read_text())["sdp"]["residuals"]
+    assert residuals["map_evaluations"] == 11 + residuals["safeguard_rejections"]
+    assert {"memory_restarts", "identity_step"} <= set(residuals)
+
+
+def test_total_weight_overflow_is_input_error(capsys):
+    assert run(["pipeline", "--generate", "complete:n=5,wmin=1.7e308,wmax=1.7e308"]) == EXIT_INPUT
+    assert "total edge weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight, rounds", [(1e300, 10), (1e307, 100)])
+def test_huge_weights_give_finite_sample_moments(weight, rounds, tmp_path):
+    # squares of energies near 1e300 and sums of 100 energies near 1e307
+    # overflow; RuntimeWarnings are errors under pytest
+    out = tmp_path / "r.json"
+    assert run(["pipeline", "--generate", f"complete:n=3,wmin={weight},wmax={weight}",
+                "--rounds", str(rounds), "--out", str(out)]) == EXIT_OK
+
+    def reject(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+
+    samples = json.loads(out.read_text(), parse_constant=reject)["samples"]
+    assert 0.0 < samples["stderr"] < samples["mean"] <= 3.0 * weight
+
+
 def test_certify_constants_only(capsys):
     assert run(["certify"]) == EXIT_OK
     out = capsys.readouterr().out

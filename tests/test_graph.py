@@ -175,6 +175,13 @@ def test_graph_rejects_bad_edges_directly():
         Graph(n=2, edges=((0, 1, float("nan")),))
 
 
+def test_graph_rejects_a_total_weight_past_the_float_range():
+    # each weight is finite, but the SDP objective's constant term is their sum
+    with pytest.raises(GraphError, match="total edge weight"):
+        parse_generator_spec("complete:n=5,wmin=1.7e308,wmax=1.7e308")
+    assert parse_generator_spec("complete:n=2,wmin=1.7e308,wmax=1.7e308").num_edges == 1
+
+
 def test_generator_spec_parsing():
     g = parse_generator_spec("erdos_renyi:n=8,p=0.5,seed=7")
     assert g == generate("erdos_renyi", {"n": 8, "p": 0.5}, seed=7)
