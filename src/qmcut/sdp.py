@@ -360,6 +360,12 @@ def block_projector(index: GramIndex):
     T_0m = sqrt(3) g_m, T_mm = 1 - 2 g_m, S_mm = 1 + g_m and T_kl = S_kl = g_m;
     then T_00 = 1.  Entries between pairs that share no vertex are left as
     they are.
+
+    project(Y) writes the projection into Y and returns it.  Y must be exactly
+    symmetric, block by block, as every block form that solve forms is (unvec
+    mirrors its entries, project_psd symmetrizes, and sums of symmetric arrays
+    are symmetric): then it is the projection of Y itself, which is (Y + Y^T)/2
+    bit for bit.
     """
     n = index.n
     p, q = np.triu_indices(n, 1)                # the order of index.pairs
@@ -391,12 +397,11 @@ def block_projector(index: GramIndex):
         (1, k, l, link_m, 0.0, 1.0), (1, l, k, link_m, 0.0, 1.0)])
 
     def project(Y: np.ndarray) -> np.ndarray:
-        X = (Y + Y.transpose(0, 2, 1)) / 2.0
-        x = X.reshape(-1)                       # a view: writes land in X
-        g = np.bincount(member_m, member_w * x[member_at], P) / n
-        x[out_at] = out_base + out_slope * g[out_m]
-        X[0, 0, 0] = 1.0
-        return X
+        y = Y.reshape(-1)                       # a view: writes land in Y
+        g = np.bincount(member_m, member_w * y[member_at], P) / n
+        y[out_at] = out_base + out_slope * g[out_m]
+        Y[0, 0, 0] = 1.0
+        return Y
 
     return project
 
@@ -409,7 +414,8 @@ def block_vectorizer(P: int):
     padding row and column; T's off-diagonal entries are weighted sqrt(2), and
     S's entries a further sqrt(2).  So vec(D1) . vec(D2) is
     <T1, T2> + 2 <S1, S2> = <lift_blocks(D1), lift_blocks(D2)>, the geometry
-    of M.  unvec is its inverse on symmetric block forms with S's padding zero.
+    of M.  unvec is its inverse on symmetric block forms with S's padding zero:
+    one gather from v / weight, with a trailing 0 for the padding.
     """
     r, c = np.triu_indices(P + 1)
     in_s = r > 0                                # S's rows and columns are 1..P
@@ -417,15 +423,17 @@ def block_vectorizer(P: int):
     at = np.concatenate([r * (P + 1) + c, (P + 1) ** 2 + (r * (P + 1) + c)[in_s]])
     mirror = np.concatenate([c * (P + 1) + r, (P + 1) ** 2 + (c * (P + 1) + r)[in_s]])
     weight = np.concatenate([weight_t, SQRT2 * weight_t[in_s]])
+    source = np.full(2 * (P + 1) ** 2, len(at))     # the entry of v each entry of D reads
+    source[at] = source[mirror] = np.arange(len(at))
 
     def vec(D: np.ndarray) -> np.ndarray:
         return D.reshape(-1)[at] * weight
 
     def unvec(v: np.ndarray) -> np.ndarray:
-        D = np.zeros((2, P + 1, P + 1))
-        x = D.reshape(-1)                       # a view: writes land in D
-        x[at] = x[mirror] = v / weight
-        return D
+        u = np.empty(len(v) + 1)
+        np.divide(v, weight, out=u[:-1])
+        u[-1] = 0.0
+        return u.take(source).reshape(2, P + 1, P + 1)
 
     return vec, unvec
 
@@ -543,16 +551,24 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
             # degenerate as a star's (T of star:d=11 had one eigenvalue 44
             # times); the upper triangle of the same matrix takes another path.
             w, Q = np.linalg.eigh(Y, UPLO="U")
-        Z = (Q * np.maximum(w, 0.0)[:, None, :]) @ Q.transpose(0, 2, 1)
-        Z = (Z + Z.transpose(0, 2, 1)) / 2.0
+        Z = (Q * np.maximum(w, 0.0, out=w)[:, None, :]) @ Q.transpose(0, 2, 1)
+        Z += Z.transpose(0, 2, 1)
+        Z /= 2.0
         Z[1, 0] = Z[1, :, 0] = 0.0              # S's padding
         return Z
 
     def step(W: np.ndarray, Z: np.ndarray):
         """(X, g(W)) for Z = P+(W): with U = W - Z, X = project_affine(Z - U + C/rho)
-        and g(W) = alpha X + (1 - alpha) Z + U = W + alpha (X - Z)."""
-        X = project_affine(2.0 * Z - W + C_rho)
-        return X, W + OVER_RELAXATION * (X - Z)
+        and g(W) = alpha X + (1 - alpha) Z + U = W + alpha (X - Z), each formed
+        in place in the order written."""
+        Y = 2.0 * Z
+        Y -= W
+        Y += C_rho
+        X = project_affine(Y)
+        G = X - Z
+        G *= OVER_RELAXATION
+        G += W
+        return X, G
 
     def max_entry(D: np.ndarray) -> float:
         """max |lift_blocks(D)|: over M_00, M[0, (k, a)] and the diagonal and
