@@ -23,8 +23,8 @@ So solve iterates, projects and steps toward the identity on the block form
 and column, and lifts only its answer; S weighs 2 in the Frobenius norm,
 ||M||^2 = ||T||^2 + 2 ||S||^2.  The d x d projection and solver, which the
 block ones must track, are test references (tests/helpers.py); at run time
-build_model's constraint list is read only by constraint_residual, the final
-check.
+the constraints are read only by constraint_residual, the final check, from
+the arrays that build_model records next to its constraint list.
 
 The splitting solver is a fixed-point iteration W <- g(W) on its
 pre-projection point W, which holds the whole state: the PSD iterate is
@@ -44,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -118,6 +118,12 @@ class SdpModel:
     index: GramIndex
     objective: np.ndarray             # dense symmetric C; value is <C, M>
     constraints: tuple[Constraint, ...]
+    # The constraints in array form, each padded to two terms by 0 * M[0, 0]:
+    # constraint k is sum_t coeffs[k, t] * M[rows[k, t], cols[k, t]] = rhs[k].
+    rows: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray
+    rhs: np.ndarray
 
     def family_counts(self) -> dict[str, int]:
         counts = dict.fromkeys(CONSTRAINT_FAMILIES, 0)
@@ -147,10 +153,14 @@ def build_model(g: Graph) -> SdpModel:
     index = build_index(n)
 
     cons: list[Constraint] = []
+    terms: list[tuple[int, int, float]] = []    # two per constraint
+    rhs_all: list[float] = []
 
     def add(entries, rhs, family):
         canon = tuple((r, c, w) if r <= c else (c, r, w) for r, c, w in entries)
         cons.append(Constraint(entries=canon, rhs=rhs, family=family))
+        terms.extend(canon if len(canon) == 2 else (*canon, (0, 0, 0.0)))
+        rhs_all.append(rhs)
 
     add([(0, 0, 1.0)], 1.0, "unit_norm")
     for i, j in index.pairs:
@@ -193,7 +203,11 @@ def build_model(g: Graph) -> SdpModel:
     for i, j, w in g.edges:
         r = index.pair_row(i, j, 1)         # the three axes of a pair are adjacent rows
         objective[0, r:r + 3] = objective[r:r + 3, 0] = -w / 8.0
-    return SdpModel(graph=g, index=index, objective=objective, constraints=tuple(cons))
+    rows, cols, coeffs = (np.fromiter(chain.from_iterable(terms), float, 3 * len(terms))
+                          .reshape(-1, 2, 3).transpose(2, 0, 1))
+    return SdpModel(graph=g, index=index, objective=objective, constraints=tuple(cons),
+                    rows=rows.astype(int), cols=cols.astype(int), coeffs=coeffs,
+                    rhs=np.array(rhs_all))
 
 
 def model_to_json(model: SdpModel) -> str:
@@ -292,9 +306,13 @@ class SolverError(RuntimeError):
 
 
 def constraint_residual(model: SdpModel, M: np.ndarray) -> float:
-    """max over the constraints of |sum_k coeff_k * M[row_k, col_k] - rhs|."""
-    return max(abs(float(sum(w * M[r, c] for r, c, w in con.entries)) - con.rhs)
-               for con in model.constraints)
+    """max over the constraints of |sum_k coeff_k * M[row_k, col_k] - rhs|.
+
+    Every constraint has one or two terms, and the padding term adds 0, so this
+    is the sum over con.entries, term by term, bit for bit.
+    """
+    terms = model.coeffs * M[model.rows, model.cols]
+    return float(np.abs(terms[:, 0] + terms[:, 1] - model.rhs).max())
 
 
 SQRT3 = math.sqrt(3.0)      # norm of the axis sum (1, 1, 1)

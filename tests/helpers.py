@@ -16,7 +16,7 @@ from qmcut.energy import _edge_products, total_energy
 from qmcut.oracle import _apply_pauli, edge_energies, expectation, simulate
 from qmcut.rounding import (ALPHA0_DEFAULT, Assignment, EdgeParameters, build_circuit,
                             sample_cuts)
-from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, STOP_TOL,
+from qmcut.sdp import (CHECK_EVERY, EPS_FEAS, EPS_PSD, OVER_RELAXATION, RHO, SQRT2, STOP_TOL,
                        AndersonMemory, GramIndex, GramSolution, Residuals, SdpModel, SolverConfig,
                        SolverError, VectorSolution, constraint_residual)
 
@@ -188,6 +188,27 @@ def affine_projector(model: SdpModel):
         return X
 
     return project
+
+
+def reference_constraint_residual(model: SdpModel, M: np.ndarray) -> float:
+    """max over the constraints of |sum_k coeff_k * M[row_k, col_k] - rhs|, one
+    constraint at a time: the reference for sdp.constraint_residual."""
+    return max(abs(float(sum(w * M[r, c] for r, c, w in con.entries)) - con.rhs)
+               for con in model.constraints)
+
+
+def scatter_unvec(P: int, v: np.ndarray) -> np.ndarray:
+    """The block form (T, S) of a half-vectorized v, written by scattering v / weight
+    to each upper-triangle entry and its mirror: the reference for the gather of
+    sdp.block_vectorizer's unvec."""
+    r, c = np.triu_indices(P + 1)
+    in_s = r > 0
+    weight_t = np.where(r == c, 1.0, SQRT2)
+    u = v / np.concatenate([weight_t, SQRT2 * weight_t[in_s]])
+    D = np.zeros((2, P + 1, P + 1))
+    D[0, r, c] = D[0, c, r] = u[:len(r)]
+    D[1, r[in_s], c[in_s]] = D[1, c[in_s], r[in_s]] = u[len(r):]
+    return D
 
 
 def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:

@@ -16,7 +16,8 @@ import qmcut
 
 from conftest import BENCH_NAMES
 from helpers import (affine_projector, axis_average, axis_permuted, haar_state,
-                     moment_matrix_from_state, pair_sum_gram, random_graph, reference_solve)
+                     moment_matrix_from_state, pair_sum_gram, random_graph,
+                     reference_constraint_residual, reference_solve, scatter_unvec)
 from qmcut import (
     Graph,
     SolverConfig,
@@ -311,6 +312,18 @@ def test_affine_projection_is_least_squares(spec):
         assert constraint_residual(model, x) <= 1e-14
 
 
+@pytest.mark.parametrize("spec", PROJECTION_SPECS)
+def test_constraint_residual_equals_the_per_constraint_sum(spec):
+    # one or two terms per constraint, so the array form adds them in the same
+    # order as the loop over con.entries
+    model = build_model(parse_generator_spec(spec))
+    rng = np.random.default_rng(model.index.size)
+    for scale in (1e-3, 1.0, 1e3):
+        m = scale * rng.standard_normal((model.index.size,) * 2)
+        m = m + m.T
+        assert constraint_residual(model, m) == reference_constraint_residual(model, m)
+
+
 def random_block_form(rng: np.random.Generator, P: int) -> np.ndarray:
     """(T, S) with random symmetric T of size 1 + P and S of size P."""
     X = np.zeros((2, P + 1, P + 1))
@@ -351,6 +364,19 @@ def test_block_projection_is_image_of_affine_projection(spec):
         X = random_block_form(rng, len(model.index.pairs))
         want = reduce_blocks(project(lift_blocks(X)))
         assert np.abs(project_blocks(X) - want).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.floats(1e-6, 1e6))
+def test_block_projection_of_a_symmetric_form_is_the_symmetrized_formula(n, seed, scale):
+    # project no longer symmetrizes its argument: on exactly symmetric block
+    # forms, the ones solve forms, that step is a no-op bit for bit
+    project = block_projector(build_index(n))
+    X = scale * random_block_form(np.random.default_rng(seed), n * (n - 1) // 2)
+    want = project((X + X.transpose(0, 2, 1)) / 2.0)
+    got = project(X)
+    assert got is X                             # written in place
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", ["path:n=1", "complete:n=2", "path:n=3", "complete:n=3",
@@ -396,6 +422,14 @@ def test_half_vectorization_keeps_the_geometry_of_m(P, seed):
     assert abs(vec(D1) @ vec(D2) - want) <= 1e-12 * norms
     back = unvec(vec(D1))
     assert np.all(np.abs(back - D1) <= 2.0 * np.finfo(float).eps * np.abs(D1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 28), st.integers(0, 2**32 - 1))
+def test_unvec_gather_equals_the_scatter_form(P, seed):
+    v = np.random.default_rng(seed).standard_normal((P + 1) ** 2)
+    _, unvec = block_vectorizer(P)
+    assert unvec(v).tobytes() == scatter_unvec(P, v).tobytes()
 
 
 def test_anderson_memory_keeps_the_fit_right_hand_side():
