@@ -234,7 +234,13 @@ def model_to_json(model: SdpModel) -> str:
 # --------------------------------------------------------------------------- #
 
 # Fixed step parameters of the splitting solver and the final safety checks.
-RHO = 0.5                   # penalty parameter
+# The penalty, chosen by a sweep of map evaluations to the stop over 21 instances
+# (n = 3 to 12, BENCH_27.json) under the rule: the total and the total over the
+# 18 instances outside the benchmark both fall against 0.5, and no benchmark or
+# conftest instance needs more than one evaluation more.  0.35 to 0.42 pass,
+# within 5% of each other on the total (0.38 lowest); 0.4 takes 13.6% fewer
+# than 0.5 (28 829 against 33 354), ER8a 5 795 against 7 466.
+RHO = 0.4
 OVER_RELAXATION = 1.8
 STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
 CHECK_EVERY = 25
@@ -547,6 +553,12 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     objective over the mean edge weight, so its iterates do not depend on the
     scale of the weights; the reported objective is <C, M> with the model's
     own C.  Deterministic for a fixed config.
+
+    rho = RHO = 0.4 came from a sweep of rho in [0.25, 0.5]: the evaluations
+    of single instances move by up to 15% between neighbouring values, so the
+    rule reads totals over 21 instances and forbids regressions only on the
+    benchmark and conftest graphs (see RHO).  The best rho drifts lower as n
+    grows: ER10 and ER12 take their fewest evaluations at 0.25.
     """
     cfg = cfg or SolverConfig()
     P = len(model.index.pairs)
