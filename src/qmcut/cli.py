@@ -4,6 +4,10 @@ Pipeline reports are JSON of schema qmc-report/4; a run's rounds are the rows of
 random stream of --seed, which `round` and `energy` replay by --index.  bench emits
 CSV or typed JSON rows.  In deterministic mode wall-clock timings are zeroed so
 identical configurations produce byte-identical outputs.
+
+Every JSON output is strict: a value outside the float range (inf or nan) is an
+input error, not a non-standard token.  Exit codes: 0 ok, 2 solver failure,
+3 an audit failed, 4 input error.
 """
 
 from __future__ import annotations
@@ -194,8 +198,29 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return report
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def report_to_json(report) -> str:
+    """Strict JSON: a non-finite float raises an InputError naming its field."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        field = _non_finite_field(report, "report")
+        if field is None:
+            raise
+        raise InputError(f"{field} is not finite; the input's weights are too close "
+                         f"to the float range") from None
+
+
+def _non_finite_field(value, path: str) -> str | None:
+    """The path of the first non-finite float in a JSON-like value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        found = _non_finite_field(item, f"{path}.{key}")
+        if found:
+            return found
+    return None
 
 
 BENCH_COLUMNS = ("instance", "n", "edges", "opt_sdp", "opt",

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_bound_energies, reference_oracle_energies
 from qmcut import cli
@@ -282,6 +284,42 @@ def test_huge_weights_give_finite_sample_moments(weight, rounds, tmp_path):
 
     samples = json.loads(out.read_text(), parse_constant=reject)["samples"]
     assert 0.0 < samples["stderr"] < samples["mean"] <= 3.0 * weight
+
+
+def test_non_finite_report_value_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda cfg: {"status": "ok", "samples": {"mean": math.inf},
+                                     "gamma": [0.5, math.nan]})
+    assert run(["pipeline", "--generate", "path:n=3"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "report.samples.mean is not finite" in captured.err
+    assert captured.out == ""
+    with pytest.raises(cli.InputError, match=r"report\.gamma\.1 is not finite"):
+        cli.report_to_json({"gamma": [0.5, math.nan]})
+
+
+def strict_json(text: str):
+    def reject(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(-60, 1000), st.sampled_from(["complete:n=2", "complete:n=3", "cycle:n=5",
+                                                 "erdos_renyi:n=6,p=0.5,seed=2"]))
+@example(1000, "erdos_renyi:n=6,p=0.5,seed=2")
+@example(-60, "cycle:n=5")
+def test_reports_are_strict_json_at_every_weight_scale(tmp_path, k, spec):
+    # weights 2^k: every run exits 0 or 4, and every report parses strictly
+    out = tmp_path / "r.json"
+    out.unlink(missing_ok=True)
+    weight = repr(2.0 ** k)
+    code = run(["pipeline", "--generate", f"{spec},wmin={weight},wmax={weight}",
+                "--rounds", "10", "--certify", "--deterministic", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_INPUT)
+    if code == EXIT_OK:
+        assert strict_json(out.read_text())["status"] == "ok"
 
 
 def test_certify_constants_only(capsys):
