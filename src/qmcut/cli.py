@@ -203,11 +203,8 @@ def report_to_json(report) -> str:
     try:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        field = _non_finite_field(report, "report")
-        if field is None:
-            raise
-        raise InputError(f"{field} is not finite; the input's weights are too close "
-                         f"to the float range") from None
+        raise InputError(f"{_non_finite_field(report, 'report')} is not finite; the input's "
+                         f"weights are too close to the float range") from None
 
 
 def _non_finite_field(value, path: str) -> str | None:
