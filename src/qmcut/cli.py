@@ -5,9 +5,9 @@ random stream of --seed, which `round` and `energy` replay by --index.  bench em
 CSV or typed JSON rows.  In deterministic mode wall-clock timings are zeroed so
 identical configurations produce byte-identical outputs.
 
-Every JSON output is strict: a value outside the float range (inf or nan) is an
-input error, not a non-standard token.  Exit codes: 0 ok, 2 solver failure,
-3 an audit failed, 4 input error.
+Every JSON output is strict: a non-finite value (inf or nan) is an input error,
+not a non-standard token.  Exit codes: 0 ok, 2 solver failure, 3 an audit
+failed, 4 input error.
 """
 
 from __future__ import annotations

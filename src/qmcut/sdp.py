@@ -238,8 +238,9 @@ def model_to_json(model: SdpModel) -> str:
 # (n = 3 to 12, BENCH_27.json) under the rule: the total and the total over the
 # 18 instances outside the benchmark both fall against 0.5, and no benchmark or
 # conftest instance needs more than one evaluation more.  0.35 to 0.42 pass,
-# within 5% of each other on the total (0.38 lowest); 0.4 takes 13.6% fewer
-# than 0.5 (28 829 against 33 354), ER8a 5 795 against 7 466.
+# within 5% of each other on the total (0.38 lowest); 0.4 takes the fewest on
+# the benchmark's three instances, and 13.6% fewer than 0.5 over all 21
+# (28 829 against 33 354), ER8a 5 795 against 7 466.
 RHO = 0.4
 OVER_RELAXATION = 1.8
 STOP_TOL = 1e-7             # max-norm target for primal/dual residuals
