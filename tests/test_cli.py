@@ -271,6 +271,13 @@ def test_total_weight_overflow_is_input_error(capsys):
     assert "total edge weight" in capsys.readouterr().err
 
 
+def strict_json(text: str):
+    def reject(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("weight, rounds", [(1e300, 10), (1e307, 100)])
 def test_huge_weights_give_finite_sample_moments(weight, rounds, tmp_path):
     # squares of energies near 1e300 and sums of 100 energies near 1e307
@@ -278,11 +285,7 @@ def test_huge_weights_give_finite_sample_moments(weight, rounds, tmp_path):
     out = tmp_path / "r.json"
     assert run(["pipeline", "--generate", f"complete:n=3,wmin={weight},wmax={weight}",
                 "--rounds", str(rounds), "--out", str(out)]) == EXIT_OK
-
-    def reject(token):
-        raise AssertionError(f"non-finite JSON token {token}")
-
-    samples = json.loads(out.read_text(), parse_constant=reject)["samples"]
+    samples = strict_json(out.read_text())["samples"]
     assert 0.0 < samples["stderr"] < samples["mean"] <= 3.0 * weight
 
 
@@ -296,13 +299,6 @@ def test_non_finite_report_value_is_input_error(monkeypatch, capsys):
     assert captured.out == ""
     with pytest.raises(cli.InputError, match=r"report\.gamma\.1 is not finite"):
         cli.report_to_json({"gamma": [0.5, math.nan]})
-
-
-def strict_json(text: str):
-    def reject(token):
-        raise AssertionError(f"non-finite JSON token {token}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -535,11 +531,7 @@ def test_huge_alpha0_writes_no_nan(command, extra, tmp_path, capsys):
     out = tmp_path / "out.json"
     code = run([command, "--alpha0", "1e308", *extra, "--out", str(out)])
     assert code in (EXIT_OK, EXIT_AUDIT)
-
-    def reject(constant):
-        raise AssertionError(f"{constant} in the written JSON")
-
-    json.loads(out.read_text(), parse_constant=reject)
+    strict_json(out.read_text())
     assert "nan" not in capsys.readouterr().out
 
 
