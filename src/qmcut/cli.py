@@ -82,8 +82,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
     energy raises AssertionError.  Otherwise uncut edges score 0, so each
     energy is the sum of its sample's cut edges' exact values, a lower bound
     on the state energy because every edge term is >= 0 (energy_kind "bound").
-    A solve or extraction failure yields a report with status "solver_failure",
-    the failing stage ("sdp" or "extract") and the residuals.
+    Within the simulator, opt is exact_opt's top eigenvalue with its kind
+    ("dense" or "lanczos") and Ritz residual (None when dense).  A solve or
+    extraction failure yields a report with status "solver_failure", the
+    failing stage ("sdp" or "extract") and the residuals.
     """
     g = cfg.graph
     timings: dict[str, float] = {}
@@ -139,7 +141,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         spectrum = exact_opt(g, limit=cfg.sim_limit)
         opt = spectrum.lambda_max
         report["opt"] = {"value": spectrum.lambda_max, "sector": spectrum.sector,
-                         "dimension": spectrum.dimension}
+                         "dimension": spectrum.dimension, "kind": spectrum.kind,
+                         "residual": spectrum.residual}
     timings["exact_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -367,7 +370,8 @@ def cmd_exact(args) -> int:
     source, g = _load_graph(args)
     spectrum = exact_opt(g, limit=args.sim_limit)
     payload = {"schema": EXACT_SCHEMA, "instance": source, "lambda_max": spectrum.lambda_max,
-               "sector": spectrum.sector, "dimension": spectrum.dimension}
+               "sector": spectrum.sector, "dimension": spectrum.dimension, "kind": spectrum.kind,
+               "residual": spectrum.residual}
     _emit(report_to_json(payload), args.out)
     return EXIT_OK
 
@@ -445,7 +449,7 @@ _SUBCOMMANDS = {
               (*_INSTANCE, "--seed", "--index", "--alpha0", *_SOLVER, "--out")),
     "energy": (cmd_energy, "solve, round once, and report edge energies",
                (*_INSTANCE, "--seed", "--index", "--alpha0", *_SOLVER, "--out")),
-    "exact": (cmd_exact, "exact largest eigenvalue by sector diagonalization",
+    "exact": (cmd_exact, "exact largest eigenvalue on the middle Hamming sector",
               (*_INSTANCE, "--sim-limit", "--out")),
     "certify": (cmd_certify, "constants and instance audits",
                 (*_INSTANCE, "--seed", "--alpha0", "--sim-limit", *_SOLVER,

@@ -120,11 +120,14 @@ def cut_energies(Z: np.ndarray, g: Graph, cut: np.ndarray, uncut: np.ndarray) ->
     energy is its sample's exact state energy, the same float as
     total_energy(...).exact_total: those are total_energy's terms in its
     order.  With uncut = 0 it is the sum of the cut edges' exact values, a
-    lower bound because every edge term is >= 0.
+    lower bound because every edge term is >= 0.  Each term is formed as
+    (w / 4) value: division by 4 is exact, so in the normal range it is the
+    same float as w value / 4, and a weight near the float limit does not
+    overflow before the division.
     """
     energies = np.zeros(len(Z))
     for (i, j, w), c, u in zip(g.edges, cut, uncut):
-        energies += np.where(Z[:, i] != Z[:, j], w * c / 4.0, w * u / 4.0)
+        energies += np.where(Z[:, i] != Z[:, j], w / 4.0 * c, w / 4.0 * u)
     return energies
 
 
@@ -141,5 +144,5 @@ def total_energy(params: EdgeParameters, assign: Assignment, g: Graph) -> EdgeEn
         rows.append(EdgeEnergy(edge=(i, j), weight=w, cut=cut, exact=c if cut else u,
                                bound=b if cut else 0.0))
     return EdgeEnergyReport(edges=tuple(rows),
-                            bound_total=sum((e.weight * e.bound / 4.0 for e in rows), 0.0),
-                            exact_total=sum((e.weight * e.exact / 4.0 for e in rows), 0.0))
+                            bound_total=sum((e.weight / 4.0 * e.bound for e in rows), 0.0),
+                            exact_total=sum((e.weight / 4.0 * e.exact for e in rows), 0.0))

@@ -24,7 +24,8 @@ and column, and lifts only its answer; S weighs 2 in the Frobenius norm,
 ||M||^2 = ||T||^2 + 2 ||S||^2.  The d x d projection and solver, which the
 block ones must track, are test references (tests/helpers.py); at run time
 the constraints are read only by constraint_residual, the final check, from
-the arrays that build_model records next to its constraint list.
+the arrays that build_model records; their Constraint records are formed from
+those arrays on first use.
 
 The splitting solver is a fixed-point iteration W <- g(W) on its
 pre-projection point W, which holds the whole state: the PSD iterate is
@@ -117,19 +118,29 @@ class SdpModel:
     graph: Graph
     index: GramIndex
     objective: np.ndarray             # dense symmetric C; value is <C, M>
-    constraints: tuple[Constraint, ...]
     # The constraints in array form, each padded to two terms by 0 * M[0, 0]:
-    # constraint k is sum_t coeffs[k, t] * M[rows[k, t], cols[k, t]] = rhs[k].
+    # constraint k is sum_t coeffs[k, t] * M[rows[k, t], cols[k, t]] = rhs[k],
+    # of family CONSTRAINT_FAMILIES[families[k]].
     rows: np.ndarray
     cols: np.ndarray
     coeffs: np.ndarray
     rhs: np.ndarray
+    families: np.ndarray
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The constraints as records, formed from the arrays; a padding term
+        is the only one with coefficient 0."""
+        return tuple(
+            Constraint(entries=tuple(zip(r, c, w))[:2 if w[1] else 1], rhs=b,
+                       family=CONSTRAINT_FAMILIES[f])
+            for r, c, w, b, f in zip(self.rows.tolist(), self.cols.tolist(),
+                                     self.coeffs.tolist(), self.rhs.tolist(),
+                                     self.families.tolist()))
 
     def family_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys(CONSTRAINT_FAMILIES, 0)
-        for con in self.constraints:
-            counts[con.family] += 1
-        return counts
+        counts = np.bincount(self.families, minlength=len(CONSTRAINT_FAMILIES))
+        return dict(zip(CONSTRAINT_FAMILIES, counts.tolist()))
 
 
 def build_model(g: Graph) -> SdpModel:
@@ -152,15 +163,16 @@ def build_model(g: Graph) -> SdpModel:
     n = g.n
     index = build_index(n)
 
-    cons: list[Constraint] = []
     terms: list[tuple[int, int, float]] = []    # two per constraint
     rhs_all: list[float] = []
+    families: list[int] = []
+    code = {family: k for k, family in enumerate(CONSTRAINT_FAMILIES)}
 
     def add(entries, rhs, family):
-        canon = tuple((r, c, w) if r <= c else (c, r, w) for r, c, w in entries)
-        cons.append(Constraint(entries=canon, rhs=rhs, family=family))
+        canon = [(r, c, w) if r <= c else (c, r, w) for r, c, w in entries]
         terms.extend(canon if len(canon) == 2 else (*canon, (0, 0, 0.0)))
         rhs_all.append(rhs)
+        families.append(code[family])
 
     add([(0, 0, 1.0)], 1.0, "unit_norm")
     for i, j in index.pairs:
@@ -205,9 +217,9 @@ def build_model(g: Graph) -> SdpModel:
         objective[0, r:r + 3] = objective[r:r + 3, 0] = -w / 8.0
     rows, cols, coeffs = (np.fromiter(chain.from_iterable(terms), float, 3 * len(terms))
                           .reshape(-1, 2, 3).transpose(2, 0, 1))
-    return SdpModel(graph=g, index=index, objective=objective, constraints=tuple(cons),
-                    rows=rows.astype(int), cols=cols.astype(int), coeffs=coeffs,
-                    rhs=np.array(rhs_all))
+    return SdpModel(graph=g, index=index, objective=objective, rows=rows.astype(int),
+                    cols=cols.astype(int), coeffs=coeffs, rhs=np.array(rhs_all),
+                    families=np.array(families))
 
 
 def model_to_json(model: SdpModel) -> str:

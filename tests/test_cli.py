@@ -236,6 +236,7 @@ def test_exact_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "qmc-exact/1"
     assert payload["lambda_max"] == pytest.approx(1.5, abs=1e-9)
+    assert (payload["kind"], payload["residual"]) == ("dense", None)
 
 
 def test_missing_input_is_input_error(capsys):
@@ -306,6 +307,7 @@ def test_non_finite_report_value_is_input_error(monkeypatch, capsys):
                                                  "erdos_renyi:n=6,p=0.5,seed=2"]))
 @example(1000, "erdos_renyi:n=6,p=0.5,seed=2")
 @example(-60, "cycle:n=5")
+@example(1023, "complete:n=2")   # one edge of weight 2^1023, total weight in range
 def test_reports_are_strict_json_at_every_weight_scale(tmp_path, k, spec):
     # weights 2^k: every run exits 0 or 4, and every report parses strictly
     out = tmp_path / "r.json"

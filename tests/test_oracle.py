@@ -1,9 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -11,7 +12,9 @@ from helpers import (basis_state, classical_energy, dense_hamiltonian, haar_stat
                      moment_matrix_from_state, random_graph)
 from qmcut import Graph, QubitLimitError, build_model, exact_opt, expectation, generate
 from qmcut.energy import edge_closed_forms
-from qmcut.oracle import edge_energies, simulate
+from qmcut.graph import parse_generator_spec
+from qmcut.oracle import (LANCZOS_MAX_STEPS, LANCZOS_MIN_DIM, LANCZOS_TOL, edge_energies,
+                          lanczos_top, sector_operator, simulate)
 from qmcut.rounding import ALPHA0_DEFAULT, Assignment, Circuit, EdgeParameters, Gate, build_circuit
 from qmcut.sdp import build_index, constraint_residual
 
@@ -157,6 +160,7 @@ def test_exact_opt_matches_dense_diagonalization():
         assert opt.lambda_max == pytest.approx(want, abs=1e-9)
         assert opt.sector == g.n // 2
         assert opt.dimension == math.comb(g.n, g.n // 2)
+        assert (opt.kind, opt.residual) == ("dense", None)
 
 
 def test_exact_opt_relabel_invariant():
@@ -177,6 +181,75 @@ def test_exact_opt_dominates_random_bit_strings():
     for i, j, w in g.edges:
         energies += (bits[:, i] != bits[:, j]) * (w / 2.0)
     assert float(energies.max()) <= opt + 1e-9
+
+
+@st.composite
+def spectrum_graphs(draw):
+    """Random, star, complete, path or edgeless graphs on up to 12 vertices, with
+    weights all equal (degenerate tops) or spread, some zeroed, times 2^k."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["random", "star", "complete", "path", "edgeless"]))
+    p = draw(st.floats(0.1, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+             if {"random": rng.random() < p, "star": i == 0, "complete": True,
+                 "path": j == i + 1, "edgeless": False}[shape]]
+    equal, zeroed = draw(st.booleans()), draw(st.sampled_from([0.0, 0.3]))
+    scale = 2.0 ** draw(st.integers(-60, 1000))
+    return Graph.from_edges(n, [(i, j, 0.0 if rng.random() < zeroed
+                                 else scale * (1.0 if equal else float(rng.uniform(0.1, 2.0))))
+                                for i, j in pairs])
+
+
+@settings(max_examples=20, deadline=None)   # a full H at n = 10 takes about 2 s
+@given(spectrum_graphs())
+@example(generate("star", {"d": 11}))
+@example(generate("complete", {"n": 12}))
+@example(Graph.from_edges(1, []))
+def test_lanczos_matches_dense_diagonalization(g):
+    # the whole dense H up to n = 10, the dense middle sector above
+    h = dense_hamiltonian(g) if g.n <= 10 else sector_operator(g).dense()
+    want = float(np.linalg.eigvalsh(h)[-1])
+    got = lanczos_top(sector_operator(g))
+    assert abs(got.value - want) <= 1e-12 * max(1.0, abs(want))
+    # a Ritz value lies below lambda_max, up to the rounding of both solvers
+    # (about dimension * eps; the worst seen was 4.5e-15)
+    assert got.value <= want * (1.0 + 1e-13)
+    assert got.residual <= LANCZOS_TOL * got.value or got.steps == LANCZOS_MAX_STEPS
+
+
+def test_lanczos_is_deterministic():
+    op = sector_operator(generate("erdos_renyi", {"n": 12, "p": 0.4}, seed=1))
+    assert lanczos_top(op) == lanczos_top(op)
+
+
+def test_lanczos_does_not_start_in_the_symmetric_multiplet():
+    # the uniform vector of K2's sector is the triplet, of eigenvalue 0
+    assert lanczos_top(sector_operator(generate("complete", {"n": 2}))).value == \
+        pytest.approx(1.0, abs=1e-15)
+
+
+def test_exact_opt_switches_to_lanczos_at_the_cutover():
+    below, above = generate("erdos_renyi", {"n": 9, "p": 0.4}, seed=1), generate("star", {"d": 11})
+    assert math.comb(9, 4) < LANCZOS_MIN_DIM <= math.comb(12, 6)
+    assert (exact_opt(below).kind, exact_opt(below).residual) == ("dense", None)
+    opt = exact_opt(above)
+    assert opt.kind == "lanczos" and opt.dimension == 924
+    assert opt.lambda_max == pytest.approx(6.0, abs=1e-12)
+    assert 0.0 <= opt.residual <= LANCZOS_TOL * opt.lambda_max
+
+
+def test_lanczos_memory_is_far_below_the_dense_sector():
+    # the dense sector of ER16 is 12 870^2 doubles, 1.3 GB
+    g = parse_generator_spec("erdos_renyi:n=16,p=0.4,seed=1")
+    tracemalloc.start()
+    try:
+        opt = exact_opt(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt.kind == "lanczos"
+    assert peak < 100 * 2**20
 
 
 def test_exact_opt_rejects_oversize():
