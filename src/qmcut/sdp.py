@@ -12,24 +12,33 @@ Rounding needs only the n x n singles Gram, which extraction reads from that
 column and factors; build_model shows why that Gram is PSD without Single
 labels.
 
+A vertex with no edge adds nothing to the objective.  So solve runs its
+splitting loop on the relaxation of the graph induced on the vertices that
+have an edge, zero weights included, and extends the answer exactly to every
+label: it is tensored with the maximally mixed state on the other qubits
+(extend_with_mixed_qubits).  solve gives the proof, family by family; its
+final checks read the full model and the full M, so they check the extension
+too.
+
 The six permutations of the axes map the constraint set, the PSD cone and the
-objective to themselves, and they fix the identity, so every iterate of solve
-is invariant under them.  In the basis Q = blockdiag(1, I_P (x) [e, f1, f2]),
-with P = n(n-1)/2 pairs, e = (1, 1, 1)/sqrt(3) the axis sum and f1, f2 two axis
-differences, an invariant M is Q diag(T, S, S) Q^T with T of size 1 + P and S
-of size P (Gatermann & Parrilo 2004; de Klerk, Pasechnik & Schrijver 2007).
-So solve iterates, projects and steps toward the identity on the block form
-(T, S), stored as one 2 x (1 + P) x (1 + P) array with S padded by a zero row
-and column, and lifts only its answer; S weighs 2 in the Frobenius norm,
-||M||^2 = ||T||^2 + 2 ||S||^2.  The d x d projection and solver, which the
-block ones must track, are test references (tests/helpers.py); at run time
-the constraints are read only by constraint_residual, the final check, from
-the arrays that build_model records; their Constraint records are formed from
-those arrays on first use.
+objective to themselves, and they fix the identity, so every iterate of the
+splitting loop is invariant under them.  In the basis
+Q = blockdiag(1, I_P (x) [e, f1, f2]), with P = n(n-1)/2 pairs,
+e = (1, 1, 1)/sqrt(3) the axis sum and f1, f2 two axis differences, an
+invariant M is Q diag(T, S, S) Q^T with T of size 1 + P and S of size P
+(Gatermann & Parrilo 2004; de Klerk, Pasechnik & Schrijver 2007).  So
+splitting_loop iterates, projects and steps toward the identity on the block
+form (T, S), stored as one 2 x (1 + P) x (1 + P) array with S padded by a
+zero row and column, and solve lifts only its answer; S weighs 2 in the
+Frobenius norm, ||M||^2 = ||T||^2 + 2 ||S||^2.  The d x d projection and
+solver, which the block ones must track, are test references
+(tests/helpers.py); at run time the constraints are read only by
+constraint_residual, the final check, from the arrays that build_model
+records; their Constraint records are formed from those arrays on first use.
 
 The splitting solver is a fixed-point iteration W <- g(W) on its
 pre-projection point W, which holds the whole state: the PSD iterate is
-Z = P+(W) and the scaled dual U = W - Z.  solve extrapolates it by type-II
+Z = P+(W) and the scaled dual U = W - Z.  The loop extrapolates it by type-II
 Anderson acceleration over the last AA_MEMORY residual differences, in M's
 geometry, and keeps an extrapolated point only if its residual is no larger
 than the plain step's; the plain step is the fallback and the stop test.
@@ -532,8 +541,41 @@ class AndersonMemory:
         return self.g - gamma @ self.dG[:k]
 
 
-def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
-    """Maximize <C, M> over the affine constraint set intersected with the PSD cone.
+def subgraph_rows(index: GramIndex, used: list[int]) -> np.ndarray:
+    """The rows of index for Unit and the pairs inside used (increasing): the
+    labels of build_index(len(used)) in its order, vertex k being used[k]."""
+    return np.array([0, *(index.pair_row(i, j, a) for i, j in combinations(used, 2)
+                          for a in AXES)])
+
+
+def extend_with_mixed_qubits(M: np.ndarray, index: GramIndex, used: list[int]) -> np.ndarray:
+    """The matrix over index of M, a matrix over build_index(len(used)) on the
+    vertices used (increasing): M on subgraph_rows; for each other vertex v and
+    axis a, the pivot Gram G_a of build_model (1 on the diagonal, M[0, (jk, a)]
+    off it) on the rows (vj, a), j in used; the identity on pairs with no end
+    in used; 0 elsewhere.  For M the moment matrix of a state psi it is that of
+    psi (x) I/2^k on the k other qubits; solve shows it keeps feasibility,
+    positivity and the objective.
+    """
+    out = np.eye(index.size)
+    kept = subgraph_rows(index, used)
+    out[np.ix_(kept, kept)] = M
+    dropped = [v for v in range(index.n) if v not in used]
+    i, j = np.triu_indices(len(used), 1)        # the order of build_index(len(used)).pairs
+    for a in AXES:
+        G = np.eye(len(used))
+        G[i, j] = G[j, i] = M[0, a::3]          # M[0, (m, a)] is column 1 + 3m + (a - 1)
+        for v in dropped:
+            rows = [index.pair_row(v, u, a) for u in used]
+            out[np.ix_(rows, rows)] = G
+    return out
+
+
+def splitting_loop(index: GramIndex, objective: np.ndarray, mean_weight: float,
+                   cfg: SolverConfig) -> tuple[np.ndarray, dict]:
+    """Maximize <C, M> over the affine constraint set of index intersected with
+    the PSD cone, C = objective: (X, work), the block form of the answer and
+    the work counters of Residuals.
 
     Operator splitting with over-relaxation alpha and scaled dual updates,
     written as the fixed-point map of its pre-projection state W: with
@@ -553,34 +595,21 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     the iterate is the plain step g(W).  Every CHECK_EVERY-th iterate is the
     plain step, and its residuals max |X - Z+| and rho max |Z+ - Z|,
     Z+ = P+(g(W)), with the max-norm of M read from the blocks, are the stop
-    rule.  Residuals.iterations counts iterates and cfg.max_iterations caps
+    rule.  work["iterations"] counts iterates and cfg.max_iterations caps
     them; an iterate evaluates g once, or twice when its Anderson point is
-    rejected, and Residuals.map_evaluations counts the evaluations.
+    rejected, and work["map_evaluations"] counts the evaluations.
 
     The last PSD iterate is projected onto the affine set and shifted toward
     the identity just enough to be PSD, which keeps every equality:
     (1 - t) X + t I, still on the blocks, whose least eigenvalue is that of T
-    and S (not of S's padding); t is Residuals.identity_step.  The lift is
-    linear and maps I to I, so M is its lift, and constraint_residual and the
-    eigenvalues of M check it against build_model.  The loop's C is the
-    objective over the mean edge weight, so its iterates do not depend on the
-    scale of the weights; the reported objective is <C, M> with the model's
-    own C.  Deterministic for a fixed config.
-
-    rho = RHO = 0.4 came from a sweep of rho in [0.25, 0.5]: the evaluations
-    of single instances move by up to 15% between neighbouring values, so the
-    rule reads totals over 21 instances and forbids regressions only on the
-    benchmark and conftest graphs (see RHO).  The best rho drifts lower as n
-    grows: ER10 and ER12 take their fewest evaluations at 0.25.
+    and S (not of S's padding); t is work["identity_step"].  The loop's C is
+    the objective over mean_weight, so its iterates do not depend on the scale
+    of the weights.  Deterministic for a fixed config.
     """
-    cfg = cfg or SolverConfig()
-    P = len(model.index.pairs)
-    project_affine = block_projector(model.index)
-    # The mean edge weight is 4 C_00 / m, as C_00 = sum w / 4 (1 when every weight
-    # is 0); unit weights give exactly 1.
-    mean_weight = 4.0 * (model.objective[0, 0] / max(model.graph.num_edges, 1)) or 1.0
-    C_rho = reduce_blocks(model.objective) / (RHO * mean_weight)
-    identity = reduce_blocks(np.eye(model.index.size))
+    P = len(index.pairs)
+    project_affine = block_projector(index)
+    C_rho = reduce_blocks(objective) / (RHO * mean_weight)
+    identity = reduce_blocks(np.eye(index.size))
     vec, unvec = block_vectorizer(P)
     evaluations = 0
 
@@ -670,19 +699,80 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     w = min(float(np.linalg.eigvalsh(B).min(initial=np.inf))        # S is empty at n = 1
             for B in (X[0], X[1, 1:, 1:]))
     t = -w / (1.0 - w) if w < 0.0 else 0.0
-    M = lift_blocks((1.0 - t) * X + t * identity)
+    work = dict(iterations=iterations, converged=converged, map_evaluations=evaluations,
+                safeguard_rejections=rejections, memory_restarts=memory.restarts,
+                identity_step=t)
+    return (1.0 - t) * X + t * identity, work
+
+
+def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
+    """Maximize <C, M> over the affine constraint set intersected with the PSD
+    cone, by splitting_loop on the vertices that have an edge.
+
+    Let U be the vertices with an edge in g.edges; zero weights count, as they
+    are structural neighbours for the rotation angles.  When 0 < |U| < n, the
+    loop runs on the relaxation of the graph induced on U: build_index(|U|),
+    and the submatrix of model.objective on subgraph_rows, Unit and the pairs
+    inside U in index order.  Its answer M' is extended to every label by
+    extend_with_mixed_qubits: M' tensored with the maximally mixed state on
+    the k = n - |U| dropped qubits.  With no edge, or an edge at every vertex,
+    the loop runs on the model itself.  The extension M is exact.  Write G'_a
+    for the pivot Gram it places on the rows (vj, a), j in U, of each dropped
+    vertex v.  Family by family, inside U each constraint is that of M', and:
+    - unit_norm and pair_norm: the new diagonal is 1.
+    - pair_product on a pair with an end outside U: v_{vj,a} . v_{vj,b} = 0
+      and v_{vj,c} . v0 = 0, and the same on (vw) with both ends outside.
+    - cross_zero: a row of a pair with an end outside U meets the rows of
+      another axis only at 0.
+    - triple_link v_{px,a} . v_{xq,a} = v_{pq,a} . v0, pivot x: with x alone
+      outside U, both sides are G'_a[p, q] = M'[0, (pq, a)]; with p or q
+      outside, the left side is an entry between two different blocks and
+      the right side the pair-unit entry of a dropped row, both 0.
+    PSD: up to a permutation of the rows M is the direct sum of M', 3k copies
+    of the G'_a (one per dropped vertex and axis) and an identity.  G'_a is,
+    up to the constraint residual, the principal submatrix of M' on v0 and
+    v_{ij,a} for a pivot j in U (build_model), so M is PSD when M' is.  C has
+    no entry on the new rows, so <C, M> = <C', M'>.  And a feasible matrix of
+    the model restricted to U's labels is feasible for U's relaxation, whose
+    constraints are the model's that read only those labels, with the same
+    objective.  So the two values are equal, and M is optimal when M' is.  In
+    extract_vectors, G_vj = 0 for v outside U, so F is block diagonal and a
+    sample's bit at v is the sign of r_v, which no edge energy reads.
+
+    The answer is lifted from the blocks, extended, and checked against the
+    model: constraint_residual and the least eigenvalue of M, which see the
+    extension too.  The mean edge weight divides the loop's C; the reported
+    objective is <C, M> with the model's own C.  Raises SolverError, with the
+    residuals, when the loop does not converge within cfg.max_iterations or M
+    misses EPS_FEAS or EPS_PSD.
+
+    rho = RHO = 0.4 came from a sweep of rho in [0.25, 0.5]: the evaluations
+    of single instances move by up to 15% between neighbouring values, so the
+    rule reads totals over 21 instances and forbids regressions only on the
+    benchmark and conftest graphs (see RHO).  The best rho drifts lower as n
+    grows: ER10 and ER12 take their fewest evaluations at 0.25.
+    """
+    cfg = cfg or SolverConfig()
+    g = model.graph
+    used = sorted({v for i, j, _ in g.edges for v in (i, j)})
+    index, C = model.index, model.objective
+    if 0 < len(used) < g.n:
+        kept = subgraph_rows(index, used)
+        index, C = build_index(len(used)), C[np.ix_(kept, kept)]
+    # The mean edge weight is 4 C_00 / m, as C_00 = sum w / 4 (1 when every weight
+    # is 0); unit weights give exactly 1.
+    mean_weight = 4.0 * (C[0, 0] / max(g.num_edges, 1)) or 1.0
+    X, work = splitting_loop(index, C, mean_weight, cfg)
+    M = lift_blocks(X)
+    if index is not model.index:
+        M = extend_with_mixed_qubits(M, model.index, used)
 
     res = Residuals(
         max_constraint=constraint_residual(model, M),
         min_eigenvalue=float(np.linalg.eigvalsh(M)[0]),
-        iterations=iterations,
-        converged=converged,
-        map_evaluations=evaluations,
-        safeguard_rejections=rejections,
-        memory_restarts=memory.restarts,
-        identity_step=t,
+        **work,
     )
-    if not converged:
+    if not res.converged:
         raise SolverError("splitting solver did not converge within max_iterations", res)
     if res.max_constraint > EPS_FEAS or res.min_eigenvalue < -EPS_PSD:
         raise SolverError("solution violates the feasibility tolerances", res)

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmcut
 
-from conftest import BENCH_NAMES
+from conftest import BENCH_NAMES, bench_graph
 from helpers import (affine_projector, axis_average, axis_permuted, haar_state,
                      moment_matrix_from_state, pair_sum_gram, random_graph,
                      reference_constraint_residual, reference_solve, scatter_unvec)
@@ -33,8 +33,8 @@ from qmcut.graph import parse_generator_spec
 from qmcut.oracle import simulate
 from qmcut.rounding import Circuit, Gate, sample_assignment
 from qmcut.sdp import (AA_MEMORY, EPS_EXTRACT, AndersonMemory, GramSolution, Residuals,
-                       block_projector, block_vectorizer, constraint_residual, lift_blocks,
-                       model_to_json, reduce_blocks)
+                       block_projector, block_vectorizer, constraint_residual,
+                       extend_with_mixed_qubits, lift_blocks, model_to_json, reduce_blocks)
 
 
 def expected_constraint_total(n: int) -> int:
@@ -541,6 +541,95 @@ def test_work_counters_are_deterministic_and_count_each_eigh(monkeypatch):
         solve(model, SolverConfig(max_iterations=10))
     capped = err.value.residuals
     assert capped.map_evaluations == 11 + capped.safeguard_rejections
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.booleans(), min_size=3, max_size=7).filter(
+           lambda kept: sum(kept) >= 2 and 1 <= len(kept) - sum(kept) <= 3),
+       st.integers(0, 2**32 - 1))
+@example([True, False, True, False, False, True, True], 0)
+def test_extension_of_a_moment_matrix_mixes_the_dropped_qubits(kept, seed):
+    # the extension of the moment matrix of psi on the kept qubits is that of
+    # psi (x) I/2^k on all n, the mean over b of the moment matrices of
+    # psi (x) |b> with the k dropped qubits where kept is False, and it meets
+    # every constraint of the full model
+    n = len(kept)
+    used = [v for v in range(n) if kept[v]]
+    dropped = [v for v in range(n) if not kept[v]]
+    psi = haar_state(len(used), np.random.default_rng(seed))
+    index = build_index(n)
+    got = extend_with_mixed_qubits(moment_matrix_from_state(psi, build_index(len(used))),
+                                   index, used)
+    x = np.arange(2**n)
+    at_used = sum(((x >> v) & 1) << p for p, v in enumerate(used))
+    at_dropped = sum(((x >> v) & 1) << p for p, v in enumerate(dropped))
+    want = sum(moment_matrix_from_state(np.where(at_dropped == b, psi[at_used], 0.0), index)
+               for b in range(2 ** len(dropped))) / 2 ** len(dropped)
+    assert np.abs(got - want).max() <= 1e-12
+    assert constraint_residual(build_model(Graph.from_edges(n, [])), got) <= 1e-12
+
+
+def graph_with_edgeless_vertices(m: int, k: int, seed: int) -> Graph:
+    """A graph on m + k vertices, k of them at random positions with no edge:
+    edges among the other m with probability 1/2, one more at each of them left
+    without, and weight 0 on about a quarter of the edges, 1 on the rest."""
+    rng = np.random.default_rng(seed)
+    n = m + k
+    dropped = set(rng.choice(n, k, replace=False).tolist())
+    used = [v for v in range(n) if v not in dropped]
+    edges = {(i, j) for i, j in combinations(used, 2) if rng.random() < 0.5}
+    for u in used:
+        if not any(u in edge for edge in edges):
+            edges.add(tuple(sorted((u, int(rng.choice([w for w in used if w != u]))))))
+    return Graph.from_edges(n, [(i, j, float(rng.choice([0.0, 1.0, 1.0, 1.0])))
+                                for i, j in sorted(edges)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(6, 3, 3)                               # n = 9: 225 iterates here, 250 in the reference
+def test_solve_on_the_vertices_with_an_edge_matches_the_full_reference(m, k, seed):
+    # solve runs on the m vertices with an edge and extends its answer; the
+    # reference runs on the whole model.  Unit weights keep the reference's
+    # iterates few: with weights in {0, 0.5, 1, 2}, m = 5 took up to 5 150.
+    g = graph_with_edgeless_vertices(m, k, seed)
+    model = build_model(g)
+    got, want = solve(model), reference_solve(model)
+    assert got.residuals.converged and want.residuals.converged
+    assert abs(got.objective - want.objective) <= 1e-6
+    G = extract_vectors(got).G
+    for v in set(range(g.n)) - {v for i, j, _ in g.edges for v in (i, j)}:
+        assert np.all(np.delete(G[v], v) == 0.0)
+
+
+@pytest.mark.parametrize("spec", ["path:n=1", "erdos_renyi:n=8,p=0,seed=1"])
+def test_edgeless_graphs_solve_on_the_full_model(spec):
+    got = solve(build_model(parse_generator_spec(spec)))
+    assert got.residuals.iterations == 25
+    assert got.objective == 0.0
+
+
+@pytest.mark.parametrize("g, shape", [
+    (bench_graph("ER8c"), (2, 22, 22)),
+    (bench_graph("ER8a"), (2, 29, 29)),
+    (Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 0.0)]), (2, 4, 4)),
+], ids=["ER8c", "ER8a", "zero-weight-edge"])
+def test_solve_iterates_on_the_vertices_with_an_edge(g, shape, monkeypatch):
+    # ER8c's vertex 7 has no edge, so its blocks are those of n = 7, 1 + 21 rows;
+    # every vertex of ER8a has one, so its blocks are those of n = 8; an edge of
+    # weight 0 counts, as its ends are neighbours for the rotation angles
+    model = build_model(g)
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting(a, UPLO="L"):
+        shapes.append(np.shape(a))
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    with pytest.raises(SolverError) as err:
+        solve(model, SolverConfig(max_iterations=10))
+    assert set(shapes) == {shape}
+    assert len(shapes) == err.value.residuals.map_evaluations
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
