@@ -591,7 +591,7 @@ def graph_with_edgeless_vertices(m: int, k: int, seed: int) -> Graph:
 def test_solve_on_the_vertices_with_an_edge_matches_the_full_reference(m, k, seed):
     # solve runs on the m vertices with an edge and extends its answer; the
     # reference runs on the whole model.  Unit weights keep the reference's
-    # iterates few: with weights in {0, 0.5, 1, 2}, m = 5 took up to 5 150.
+    # iterates few: with weights in {0, 0.5, 1, 2}, m = 5 took up to 5 150 iterates.
     g = graph_with_edgeless_vertices(m, k, seed)
     model = build_model(g)
     got, want = solve(model), reference_solve(model)
