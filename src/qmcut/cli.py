@@ -427,7 +427,7 @@ _FLAGS: dict[str, dict] = {
     "--index": {"type": _at_least("index", 0), "default": 0,
                 "help": "the sample to replay: row of the --seed stream"},
     "--alpha0": {"type": _alpha0, "default": ALPHA0_DEFAULT},
-    "--sim-limit": {"type": int, "default": DEFAULT_QUBIT_LIMIT},
+    "--sim-limit": {"type": _at_least("sim-limit", 0), "default": DEFAULT_QUBIT_LIMIT},
     "--max-iterations": {"type": int, "default": SolverConfig.max_iterations},
     "--deterministic": {"action": "store_true",
                         "help": "zero wall-clock timings for byte-identical outputs"},

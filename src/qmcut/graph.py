@@ -17,8 +17,6 @@ import numpy as np
 
 Edge = tuple[int, int, float]
 
-GENERATOR_KINDS = ("complete", "cycle", "star", "path", "erdos_renyi")
-
 
 class InputError(ValueError):
     """Bad input or setting: the command-line tool reports it and exits 4."""

@@ -12,13 +12,13 @@ Rounding needs only the n x n singles Gram, which extraction reads from that
 column and factors; build_model shows why that Gram is PSD without Single
 labels.
 
-A vertex with no edge adds nothing to the objective.  So solve runs its
-splitting loop on the relaxation of the graph induced on the vertices that
-have an edge, zero weights included, and extends the answer exactly to every
-label: it is tensored with the maximally mixed state on the other qubits
-(extend_with_mixed_qubits).  solve gives the proof, family by family; its
-final checks read the full model and the full M, so they check the extension
-too.
+A vertex with no edge adds nothing to the objective.  So solve always runs
+its splitting loop on the relaxation of the graph induced on the vertices that
+have an edge, zero weights included (vertex 0 alone when there is none), and
+extends the answer exactly to every label: it is tensored with the maximally
+mixed state on the other qubits (extend_with_mixed_qubits).  solve gives the
+proof, family by family; its final checks read the full model and the full M,
+so they check the extension too.
 
 The six permutations of the axes map the constraint set, the PSD cone and the
 objective to themselves, and they fix the identity, so every iterate of the
@@ -548,17 +548,17 @@ def subgraph_rows(index: GramIndex, used: list[int]) -> np.ndarray:
                           for a in AXES)])
 
 
-def extend_with_mixed_qubits(M: np.ndarray, index: GramIndex, used: list[int]) -> np.ndarray:
+def extend_with_mixed_qubits(M: np.ndarray, index: GramIndex, used: list[int],
+                             kept: np.ndarray) -> np.ndarray:
     """The matrix over index of M, a matrix over build_index(len(used)) on the
-    vertices used (increasing): M on subgraph_rows; for each other vertex v and
-    axis a, the pivot Gram G_a of build_model (1 on the diagonal, M[0, (jk, a)]
-    off it) on the rows (vj, a), j in used; the identity on pairs with no end
-    in used; 0 elsewhere.  For M the moment matrix of a state psi it is that of
-    psi (x) I/2^k on the k other qubits; solve shows it keeps feasibility,
-    positivity and the objective.
+    vertices used (increasing): M on the rows kept, subgraph_rows(index, used);
+    for each other vertex v and axis a, the pivot Gram G_a of build_model (1 on
+    the diagonal, M[0, (jk, a)] off it) on the rows (vj, a), j in used; the
+    identity on pairs with no end in used; 0 elsewhere.  For M the moment
+    matrix of a state psi it is that of psi (x) I/2^k on the k other qubits;
+    solve shows it keeps feasibility, positivity and the objective.
     """
     out = np.eye(index.size)
-    kept = subgraph_rows(index, used)
     out[np.ix_(kept, kept)] = M
     dropped = [v for v in range(index.n) if v not in used]
     i, j = np.triu_indices(len(used), 1)        # the order of build_index(len(used)).pairs
@@ -709,16 +709,17 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     """Maximize <C, M> over the affine constraint set intersected with the PSD
     cone, by splitting_loop on the vertices that have an edge.
 
-    Let U be the vertices with an edge in g.edges; zero weights count, as they
-    are structural neighbours for the rotation angles.  When 0 < |U| < n, the
-    loop runs on the relaxation of the graph induced on U: build_index(|U|),
-    and the submatrix of model.objective on subgraph_rows, Unit and the pairs
-    inside U in index order.  Its answer M' is extended to every label by
-    extend_with_mixed_qubits: M' tensored with the maximally mixed state on
-    the k = n - |U| dropped qubits.  With no edge, or an edge at every vertex,
-    the loop runs on the model itself.  The extension M is exact.  Write G'_a
-    for the pivot Gram it places on the rows (vj, a), j in U, of each dropped
-    vertex v.  Family by family, inside U each constraint is that of M', and:
+    Let U be the vertices with an edge in g.edges, zero weights included as
+    structural neighbours for the rotation angles, or vertex 0 when there is
+    no edge.  The loop runs on the graph induced on U: build_index(|U|), and
+    C', model.objective on subgraph_rows (Unit and the pairs inside U, in
+    index order).  extend_with_mixed_qubits extends its answer M' to every
+    label: M' tensored with the maximally mixed state on the k = n - |U|
+    dropped qubits.  With U every vertex, C' = C and the extension is M'
+    itself; with no edge, the loop ends on the 1 x 1 matrix [1], which
+    extends to I.  The extension M is exact.  Write G'_a for the pivot Gram
+    it places on the rows (vj, a), j in U, of each dropped vertex v.  Family
+    by family, inside U each constraint is that of M', and:
     - unit_norm and pair_norm: the new diagonal is 1.
     - pair_product on a pair with an end outside U: v_{vj,a} . v_{vj,b} = 0
       and v_{vj,c} . v0 = 0, and the same on (vw) with both ends outside.
@@ -754,18 +755,14 @@ def solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSolution:
     """
     cfg = cfg or SolverConfig()
     g = model.graph
-    used = sorted({v for i, j, _ in g.edges for v in (i, j)})
-    index, C = model.index, model.objective
-    if 0 < len(used) < g.n:
-        kept = subgraph_rows(index, used)
-        index, C = build_index(len(used)), C[np.ix_(kept, kept)]
+    used = sorted({v for i, j, _ in g.edges for v in (i, j)}) or [0]
+    kept = subgraph_rows(model.index, used)
+    C = model.objective[np.ix_(kept, kept)]
     # The mean edge weight is 4 C_00 / m, as C_00 = sum w / 4 (1 when every weight
     # is 0); unit weights give exactly 1.
     mean_weight = 4.0 * (C[0, 0] / max(g.num_edges, 1)) or 1.0
-    X, work = splitting_loop(index, C, mean_weight, cfg)
-    M = lift_blocks(X)
-    if index is not model.index:
-        M = extend_with_mixed_qubits(M, model.index, used)
+    X, work = splitting_loop(build_index(len(used)), C, mean_weight, cfg)
+    M = extend_with_mixed_qubits(lift_blocks(X), model.index, used, kept)
 
     res = Residuals(
         max_constraint=constraint_residual(model, M),

@@ -226,7 +226,11 @@ def reference_solve(model: SdpModel, cfg: SolverConfig | None = None) -> GramSol
     C_rho = model.objective / (RHO * (np.mean(weights) if any(weights) else 1.0))
 
     def project_psd(Y: np.ndarray) -> np.ndarray:
-        w, Q = np.linalg.eigh(Y)
+        try:
+            w, Q = np.linalg.eigh(Y)
+        except np.linalg.LinAlgError:
+            # as in solve: the upper triangle takes another LAPACK path
+            w, Q = np.linalg.eigh(Y, UPLO="U")
         Z = (Q * np.maximum(w, 0.0)) @ Q.T
         return (Z + Z.T) / 2.0
 

@@ -495,10 +495,15 @@ ER8C = "erdos_renyi:n=8,p=0.4,seed=3"
     ["solve", "--generate", "complete:n=2", "--tol-feas", "1e-6"],
     ["pipeline", "--generate", "complete:n=3,n=4"],
     ["exact", "--generate", "complete:n=3,seed=1,seed=2"],
+    ["pipeline", "--generate", "path:n=3", "--rounds", "2", "--sim-limit", "-1"],
+    ["certify", "--generate", ER8C, "--sim-limit", "-1"],
+    ["exact", "--generate", "complete:n=3", "--sim-limit", "-1"],
+    ["bench", "--suite", ER8C, "--sim-limit", "-1"],
 ], ids=["pipeline-alpha0", "pipeline-rounds", "bench-rounds", "pipeline-rounds-1",
         "bench-rounds-1", "round-index-negative", "energy-index-1e18", "bench-alpha0", "round-alpha0",
         "energy-alpha0", "certify-alpha0", "pipeline-rounds-2to60", "solve-tol-feas",
-        "pipeline-repeated-key", "exact-repeated-seed"])
+        "pipeline-repeated-key", "exact-repeated-seed", "pipeline-sim-limit",
+        "certify-sim-limit", "exact-sim-limit", "bench-sim-limit"])
 def test_bad_setting_is_rejected_before_the_solve(argv, monkeypatch, capsys):
     def no_solve(model, cfg=None):
         raise AssertionError("solve called for a run that should be rejected")

@@ -34,7 +34,8 @@ from qmcut.oracle import simulate
 from qmcut.rounding import Circuit, Gate, sample_assignment
 from qmcut.sdp import (AA_MEMORY, EPS_EXTRACT, AndersonMemory, GramSolution, Residuals,
                        block_projector, block_vectorizer, constraint_residual,
-                       extend_with_mixed_qubits, lift_blocks, model_to_json, reduce_blocks)
+                       extend_with_mixed_qubits, lift_blocks, model_to_json, reduce_blocks,
+                       subgraph_rows)
 
 
 def expected_constraint_total(n: int) -> int:
@@ -249,6 +250,26 @@ def test_solve_survives_eigh_nonconvergence(monkeypatch):
     assert len(failed) == 3
     assert got.residuals.converged
     assert abs(got.objective - want.objective) <= 1e-10
+
+
+def test_reference_solve_survives_eigh_nonconvergence(monkeypatch):
+    # the d x d reference retries the upper triangle as solve does, so it can
+    # serve as the oracle where LAPACK fails once on a lower triangle
+    model = build_model(generate("complete", {"n": 3}))
+    want = solve(model)
+    eigh, failed = np.linalg.eigh, []
+
+    def flaky(a, UPLO="L"):
+        if UPLO == "L" and np.ndim(a) == 2 and not failed:
+            failed.append(np.shape(a))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    got = reference_solve(model)
+    assert failed == [(model.index.size, model.index.size)]
+    assert got.residuals.converged
+    assert abs(got.objective - want.objective) <= 1e-6
 
 
 def test_solve_nonconvergence_raises_with_residuals():
@@ -559,7 +580,7 @@ def test_extension_of_a_moment_matrix_mixes_the_dropped_qubits(kept, seed):
     psi = haar_state(len(used), np.random.default_rng(seed))
     index = build_index(n)
     got = extend_with_mixed_qubits(moment_matrix_from_state(psi, build_index(len(used))),
-                                   index, used)
+                                   index, used, subgraph_rows(index, used))
     x = np.arange(2**n)
     at_used = sum(((x >> v) & 1) << p for p, v in enumerate(used))
     at_dropped = sum(((x >> v) & 1) << p for p, v in enumerate(dropped))
@@ -603,8 +624,19 @@ def test_solve_on_the_vertices_with_an_edge_matches_the_full_reference(m, k, see
 
 
 @pytest.mark.parametrize("spec", ["path:n=1", "erdos_renyi:n=8,p=0,seed=1"])
-def test_edgeless_graphs_solve_on_the_full_model(spec):
+def test_edgeless_graphs_solve_on_one_vertex(spec, monkeypatch):
+    # with no edge the loop runs on vertex 0 alone: its blocks are those of
+    # n = 1, one Unit row, and the extension is the identity
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting(a, UPLO="L"):
+        shapes.append(np.shape(a))
+        return eigh(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     got = solve(build_model(parse_generator_spec(spec)))
+    assert set(shapes) == {(2, 1, 1)}
+    assert len(shapes) == got.residuals.map_evaluations
     assert got.residuals.iterations == 25
     assert got.objective == 0.0
 
