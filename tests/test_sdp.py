@@ -545,19 +545,25 @@ def test_residuals_count_the_map_evaluations(name, solved):
     assert 0.0 <= res.identity_step < 1e-6
 
 
-def test_work_counters_are_deterministic_and_count_each_eigh(monkeypatch):
-    model = build_model(generate("cycle", {"n": 5}))
-    eigh, batched = np.linalg.eigh, []
+def eigh_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the np.linalg.eigh calls made from here on, in order."""
+    eigh, shapes = np.linalg.eigh, []
 
     def counting(a, UPLO="L"):
-        batched.append(np.ndim(a) == 3)
+        shapes.append(np.shape(a))
         return eigh(a, UPLO)
 
-    want = solve(model).residuals
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes
+
+
+def test_work_counters_are_deterministic_and_count_each_eigh(monkeypatch):
+    model = build_model(generate("cycle", {"n": 5}))
+    want = solve(model).residuals
+    shapes = eigh_shapes(monkeypatch)
     got = solve(model).residuals
     assert got == want
-    assert sum(batched) == got.map_evaluations
+    assert sum(len(shape) == 3 for shape in shapes) == got.map_evaluations
     with pytest.raises(SolverError) as err:
         solve(model, SolverConfig(max_iterations=10))
     capped = err.value.residuals
@@ -627,13 +633,7 @@ def test_solve_on_the_vertices_with_an_edge_matches_the_full_reference(m, k, see
 def test_edgeless_graphs_solve_on_one_vertex(spec, monkeypatch):
     # with no edge the loop runs on vertex 0 alone: its blocks are those of
     # n = 1, one Unit row, and the extension is the identity
-    eigh, shapes = np.linalg.eigh, []
-
-    def counting(a, UPLO="L"):
-        shapes.append(np.shape(a))
-        return eigh(a, UPLO)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    shapes = eigh_shapes(monkeypatch)
     got = solve(build_model(parse_generator_spec(spec)))
     assert set(shapes) == {(2, 1, 1)}
     assert len(shapes) == got.residuals.map_evaluations
@@ -651,13 +651,7 @@ def test_solve_iterates_on_the_vertices_with_an_edge(g, shape, monkeypatch):
     # every vertex of ER8a has one, so its blocks are those of n = 8; an edge of
     # weight 0 counts, as its ends are neighbours for the rotation angles
     model = build_model(g)
-    eigh, shapes = np.linalg.eigh, []
-
-    def counting(a, UPLO="L"):
-        shapes.append(np.shape(a))
-        return eigh(a, UPLO)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    shapes = eigh_shapes(monkeypatch)
     with pytest.raises(SolverError) as err:
         solve(model, SolverConfig(max_iterations=10))
     assert set(shapes) == {shape}
